@@ -91,12 +91,6 @@ impl CodecHello {
         put_u32(w, FunctionId::Codec.as_u32())?;
         put_u32(w, self.caps)
     }
-
-    /// Read the body after the selector word has been consumed (servers
-    /// peek the first word to route, exactly as for the other handshakes).
-    pub fn read_body<R: Read>(r: &mut R) -> io::Result<CodecHello> {
-        Ok(CodecHello { caps: get_u32(r)? })
-    }
 }
 
 /// When the codec compresses.
@@ -541,12 +535,13 @@ mod tests {
         let mut buf = Vec::new();
         CodecHello { caps: CAP_LZ4 }.write(&mut buf).unwrap();
         assert_eq!(buf.len(), CodecHello::WIRE_BYTES);
-        let mut c = Cursor::new(&buf);
-        assert_eq!(get_u32(&mut c).unwrap(), FunctionId::Codec.as_u32());
+        let mut dec = crate::StreamDecoder::new();
+        dec.feed(&buf);
         assert_eq!(
-            CodecHello::read_body(&mut c).unwrap(),
-            CodecHello { caps: CAP_LZ4 }
+            dec.poll_client_hello().unwrap(),
+            Some(crate::ClientHello::Codec(CAP_LZ4))
         );
+        assert_eq!(dec.buffered(), 0);
     }
 
     #[test]

@@ -382,7 +382,7 @@ impl StreamDecoder {
                 let hello = if first == FunctionId::MuxHello.as_u32() {
                     ClientHello::Mux(MuxHello::read_body(&mut cur)?)
                 } else if first == FunctionId::Codec.as_u32() {
-                    ClientHello::Codec(CodecHello::read_body(&mut cur)?.caps)
+                    ClientHello::Codec(crate::wire::get_u32(&mut cur)?)
                 } else {
                     // Re-parse from the top: SessionHello owns the first word.
                     cur.set_position(0);

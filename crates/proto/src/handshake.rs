@@ -164,15 +164,6 @@ impl SessionHello {
     /// *is* the module length of the paper's positional initialization.
     pub fn read<R: Read>(r: &mut R) -> io::Result<SessionHello> {
         let first = get_u32(r)?;
-        Self::read_after(first, r)
-    }
-
-    /// Read the handshake body when the first word has already been
-    /// consumed — servers peek it to peel an optional [`CodecHello`] off
-    /// the stream before the session hello proper.
-    ///
-    /// [`CodecHello`]: crate::codec::CodecHello
-    pub fn read_after<R: Read>(first: u32, r: &mut R) -> io::Result<SessionHello> {
         match FunctionId::from_u32(first) {
             Ok(FunctionId::Hello) => {
                 let session = get_u64(r)?;

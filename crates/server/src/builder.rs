@@ -19,7 +19,7 @@ use crate::broker_agent::{BrokerAgent, BrokerAgentConfig};
 use crate::daemon::RcudaDaemon;
 use crate::mux_host::MuxLinks;
 use crate::pool::{GpuPool, PoolPolicy};
-use crate::reactor::{Counters, DrainState, MigrationTable, Shared};
+use crate::reactor::{Counters, DrainState, MigrationTable, Settled, Shared};
 use crate::registry::ShardedRegistry;
 use crate::worker::{ChaosHook, ServerConfig};
 use rcuda_proto::secure::CipherSuiteKind;
@@ -227,6 +227,7 @@ impl DaemonBuilder {
             migrations: MigrationTable::default(),
             live_tokens: Mutex::new(std::collections::HashSet::new()),
             draining: AtomicBool::new(false),
+            settled: Settled::default(),
         });
         let mut daemon = RcudaDaemon::start(
             addr,

@@ -37,13 +37,14 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, SystemTime};
 
 use crate::broker_agent::BrokerAgent;
 use crate::builder::DaemonBuilder;
 use crate::pool::GpuPool;
 use crate::reactor::{NewConn, Reactor, Shared};
-use crate::worker::{release_context, SessionReport};
+use crate::session::{park, release_context};
+use crate::worker::SessionReport;
 
 /// Longest single accept-error backoff, in milliseconds (before jitter).
 const ACCEPT_BACKOFF_CAP_MS: u64 = 64;
@@ -164,15 +165,11 @@ pub(crate) fn migrate_out_shared(
         Err(e) => {
             // Park locally so the client's reconnect can still find the
             // session here.
-            if let Some((evicted, evicted_ctx)) = shared.registry.park(session, ctx) {
-                let obs = &shared.config.observer;
-                obs.emit_daemon(DaemonEvent::SessionEvicted { session: evicted });
-                let bytes = release_context(evicted_ctx, obs);
-                shared
-                    .counters
-                    .reclaimed_bytes
-                    .fetch_add(bytes, Ordering::SeqCst);
-            }
+            let bytes = park(&shared.registry, session, ctx, &shared.config.observer);
+            shared
+                .counters
+                .reclaimed_bytes
+                .fetch_add(bytes, Ordering::SeqCst);
             Err(e)
         }
     }
@@ -409,15 +406,9 @@ impl RcudaDaemon {
     /// tiny window between a client's Quit acknowledgement and the shard
     /// finishing its bookkeeping.
     pub fn wait_for_sessions(&self, n: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.sessions_served() < n {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::yield_now();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        true
+        self.shared.wait_until(Some(timeout), |shared| {
+            shared.sessions_served.load(Ordering::SeqCst) >= n
+        })
     }
 
     /// Graceful shutdown: stop accepting, give in-flight sessions until
@@ -431,16 +422,10 @@ impl RcudaDaemon {
         self.stop_accepting();
         self.shared.drain.begin();
 
-        let live = |shared: &Shared| shared.counters.live.load(Ordering::SeqCst);
-        let end = Instant::now() + deadline;
-        while live(&self.shared) > 0 && Instant::now() < end {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        if live(&self.shared) > 0 {
+        let idle = |shared: &Shared| shared.counters.live.load(Ordering::SeqCst) == 0;
+        if !self.shared.wait_until(Some(deadline), idle) {
             self.shared.drain.force();
-            while live(&self.shared) > 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            self.shared.wait_until(None, idle);
         }
         let (graceful, forced) = self.shared.drain.end();
 
@@ -512,13 +497,9 @@ fn accept_tcp(mut stream: TcpStream, shared: &Shared, pool: &Arc<GpuPool>, react
             guard,
             authenticated: false,
         }),
-        Err(_) => {
-            // The socket died between accept and configuration: balance the
-            // admission counters as an immediately-finished session.
-            let c = &shared.counters;
-            c.served.fetch_add(1, Ordering::SeqCst);
-            c.live.fetch_sub(1, Ordering::SeqCst);
-        }
+        // The socket died between accept and configuration: balance the
+        // admission counters as an immediately-finished session.
+        Err(_) => shared.release_slot(),
     }
 }
 
@@ -544,6 +525,7 @@ impl Drop for RcudaDaemon {
 mod tests {
     use super::*;
     use rcuda_gpu::GpuDevice;
+    use std::time::Instant;
 
     #[test]
     fn daemon_binds_ephemeral_port_and_shuts_down() {

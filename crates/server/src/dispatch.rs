@@ -9,7 +9,7 @@ use rcuda_core::{CudaError, DevicePtr};
 use rcuda_gpu::GpuContext;
 use rcuda_proto::ids::MemcpyKind;
 use rcuda_proto::payload::MAX_POOLED_BYTES;
-use rcuda_proto::{Batch, BatchResponse, BufferPool, Payload, Request, Response};
+use rcuda_proto::{BufferPool, Payload, Request, Response};
 
 /// Handle one request against the connection's context.
 ///
@@ -139,43 +139,6 @@ pub fn dispatch_pooled(
         Request::EventDestroy { event } => Response::Ack(ctx.event_destroy(*event)),
         Request::Quit => return None,
     })
-}
-
-/// Handle a batched frame: execute every packed request in submission order
-/// on the connection's context, collecting one response per request.
-///
-/// Individual errors do not stop the batch — each element's result code is
-/// recorded and execution continues, exactly as if the calls had been issued
-/// one at a time. A `Quit` inside a batch is honored gracefully: it is
-/// acknowledged, the returned flag tells the worker to end the session after
-/// sending the combined reply, and any elements after it are answered with
-/// `InvalidValue` without being executed (the session is already over).
-pub fn dispatch_batch(ctx: &mut GpuContext, batch: &Batch) -> (BatchResponse, bool) {
-    dispatch_batch_pooled(ctx, batch, None)
-}
-
-/// [`dispatch_batch`] with pooled D2H staging (see [`dispatch_pooled`]).
-pub fn dispatch_batch_pooled(
-    ctx: &mut GpuContext,
-    batch: &Batch,
-    pool: Option<&BufferPool>,
-) -> (BatchResponse, bool) {
-    let mut responses = Vec::with_capacity(batch.len());
-    let mut quit = false;
-    for req in batch.requests() {
-        if quit {
-            responses.push(Response::Ack(Err(CudaError::InvalidValue)));
-            continue;
-        }
-        match dispatch_pooled(ctx, req, pool) {
-            Some(resp) => responses.push(resp),
-            None => {
-                responses.push(Response::Ack(Ok(())));
-                quit = true;
-            }
-        }
-    }
-    (BatchResponse { responses }, quit)
 }
 
 #[cfg(test)]

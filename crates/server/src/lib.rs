@@ -5,15 +5,19 @@
 //! accomplished by spawning a different server process for each remote
 //! execution over a new GPU context." This crate is that service:
 //!
-//! * [`worker`] — the blocking single-connection server: the
-//!   initialization handshake, then a request/dispatch/respond loop over a
-//!   fresh, **pre-initialized** GPU context (the warm context is why
-//!   remote executions skip the CUDA environment initialization delay,
-//!   §VI-B). Still the engine behind in-process channel sessions;
+//! * `session` — the session engine, `SessionCore`: the initialization
+//!   handshake, then a request/dispatch/respond loop over a fresh,
+//!   **pre-initialized** GPU context (the warm context is why remote
+//!   executions skip the CUDA environment initialization delay, §VI-B),
+//!   then release or park. It does no I/O; every decision lives there once;
+//! * [`worker`] — the blocking driver of that engine
+//!   ([`serve_connection`]), behind in-process channel and simulated
+//!   sessions, and the session types ([`ServerConfig`], [`SessionReport`]);
 //! * [`dispatch`] — maps each protocol request onto the context;
-//! * [`reactor`] — the sharded readiness-loop core: a fixed pool of shard
-//!   threads multiplexing every admitted connection over nonblocking
-//!   transports, with the same per-session semantics as [`worker`];
+//! * [`reactor`] — the sharded readiness loop: a fixed pool of shard
+//!   threads driving the same engine over nonblocking transports for every
+//!   admitted connection. `tests/driver_equivalence.rs` checks that both
+//!   drivers answer identical client byte streams identically;
 //! * [`daemon`] — the TCP accept loop (admission control, accept backoff)
 //!   feeding the reactor; built through [`DaemonBuilder`].
 
@@ -25,6 +29,7 @@ pub mod mux_host;
 pub mod pool;
 pub(crate) mod reactor;
 pub mod registry;
+pub(crate) mod session;
 pub mod worker;
 
 pub use builder::DaemonBuilder;

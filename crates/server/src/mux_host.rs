@@ -28,12 +28,11 @@ use parking_lot::Mutex;
 use rcuda_core::{CudaError, SharedClock};
 use rcuda_gpu::GpuDevice;
 use rcuda_proto::handshake::ServerHello;
-use rcuda_proto::ids::FunctionId;
 use rcuda_proto::mux::{
     write_mux_accept, MuxAuth, MuxChallenge, MuxHello, FLAG_CIPHER, MUX_VERSION,
 };
 use rcuda_proto::secure::{auth_proof, ct_eq, derive_key, random_nonce, CipherSuiteKind};
-use rcuda_proto::BufferPool;
+use rcuda_proto::{BufferPool, ClientHello, StreamDecoder};
 use rcuda_transport::{MuxConfig, MuxPeer, MuxStream, ReadHalf, Transport};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -46,7 +45,7 @@ use crate::daemon::admit;
 use crate::pool::GpuPool;
 use crate::reactor::{NewConn, Reactor, Shared};
 use crate::registry::SessionRegistry;
-use crate::worker::{serve_connection_with_registry, ServerConfig, SessionReport};
+use crate::worker::{serve_connection_with_registry, ServerConfig, SessionReport, READ_CHUNK};
 
 /// How often a parked trunk host re-checks its exit conditions (trunk
 /// death, daemon halt).
@@ -73,20 +72,16 @@ impl MuxLinks {
     }
 }
 
-/// What a successful handshake negotiated.
-struct TrunkKeys {
-    cipher: CipherSuiteKind,
-    key: [u8; 32],
-}
-
-/// Complete the server half of the secure upgrade handshake on a blocking
-/// byte stream. `Ok(None)` means the client was cleanly rejected (bad
-/// token or version) and the trunk must be closed.
-fn mux_handshake<T: Read + Write>(
-    t: &mut T,
+/// Complete the server half of the secure upgrade handshake over `t`,
+/// then start the trunk's demultiplexer, handing it every accepted
+/// sub-stream. `Ok(None)` means the client was cleanly rejected (bad token
+/// or version) and the trunk must be closed.
+fn open_trunk(
+    mut t: Prefixed,
     hello: &MuxHello,
     config: &ServerConfig,
-) -> io::Result<Option<TrunkKeys>> {
+    on_stream: impl FnMut(MuxStream) + Send + 'static,
+) -> io::Result<Option<MuxPeer>> {
     let cipher = if hello.wants_cipher() {
         config.cipher
     } else {
@@ -103,38 +98,44 @@ fn mux_handshake<T: Read + Write>(
         cipher: cipher.as_u32(),
         server_nonce,
     }
-    .write(t)?;
+    .write(&mut t)?;
     t.flush()?;
 
-    let auth = MuxAuth::read(t)?;
+    let auth = MuxAuth::read(&mut t)?;
     let token: &[u8] = config.auth_token.as_deref().unwrap_or(&[]);
     let expected = auth_proof(token, &hello.client_nonce, &server_nonce);
     if hello.version != MUX_VERSION || !ct_eq(&expected, &auth.mac) {
-        write_mux_accept(t, CudaError::AuthFailed.code())?;
+        write_mux_accept(&mut t, CudaError::AuthFailed.code())?;
         t.flush()?;
         return Ok(None);
     }
-    write_mux_accept(t, 0)?;
+    write_mux_accept(&mut t, 0)?;
     t.flush()?;
-    Ok(Some(TrunkKeys {
+
+    // Any prefix bytes the handshake left unread stay ahead of the read
+    // half.
+    let rest = t.pre.get_ref()[t.pre.position() as usize..].to_vec();
+    let (read, write) = t.inner.into_split()?;
+    let read: ReadHalf = if rest.is_empty() {
+        read
+    } else {
+        Box::new(io::Cursor::new(rest).chain(read))
+    };
+    let mux_config = MuxConfig {
         cipher,
         key: derive_key(token, &hello.client_nonce, &server_nonce),
-    }))
+        pool: BufferPool::new(),
+        obs: config.observer.clone(),
+    };
+    Ok(Some(MuxPeer::server(read, write, mux_config, on_stream)))
 }
 
 /// A transport with a prefix of already-read bytes replayed ahead of it:
-/// whatever the reactor's decoder read past the client's hello must be
-/// seen by the handshake (and later the demultiplexer) in order.
+/// whatever a decoder read past the client's hello must be seen by the
+/// handshake (and later the demultiplexer) in order.
 struct Prefixed {
     pre: io::Cursor<Vec<u8>>,
     inner: Box<dyn Transport>,
-}
-
-impl Prefixed {
-    fn remainder(&self) -> Vec<u8> {
-        let pos = self.pre.position() as usize;
-        self.pre.get_ref()[pos..].to_vec()
-    }
 }
 
 impl Read for Prefixed {
@@ -190,31 +191,15 @@ fn host_reactor_trunk(
         transport.write_all(&pending_out)?;
         transport.flush()?;
     }
-    let mut pre = Prefixed {
+    let pre = Prefixed {
         pre: io::Cursor::new(leftover),
         inner: transport,
     };
-    let Some(keys) = mux_handshake(&mut pre, &hello, &shared.config)? else {
+    let stream_shared = Arc::clone(&shared);
+    let accept = move |stream| accept_reactor_stream(stream, &stream_shared);
+    let Some(mut peer) = open_trunk(pre, &hello, &shared.config, accept)? else {
         return Ok(());
     };
-    let rest = pre.remainder();
-    let (read, write) = pre.inner.into_split()?;
-    let read: ReadHalf = if rest.is_empty() {
-        read
-    } else {
-        Box::new(io::Cursor::new(rest).chain(read))
-    };
-
-    let config = MuxConfig {
-        cipher: keys.cipher,
-        key: keys.key,
-        pool: BufferPool::new(),
-        obs: shared.config.observer.clone(),
-    };
-    let stream_shared = Arc::clone(&shared);
-    let mut peer = MuxPeer::server(read, write, config, move |stream| {
-        accept_reactor_stream(stream, &stream_shared);
-    });
     if let Some(raw) = raw {
         // Unblocks the demux thread's blocking read at daemon teardown.
         peer.set_shutdown(move || {
@@ -252,13 +237,9 @@ fn accept_reactor_stream(mut stream: MuxStream, shared: &Arc<Shared>) {
                 authenticated: true,
             });
         }
-        None => {
-            // Daemon mid-teardown: balance the admission as an
-            // immediately-finished session.
-            let c = &shared.counters;
-            c.served.fetch_add(1, Ordering::SeqCst);
-            c.live.fetch_sub(1, Ordering::SeqCst);
-        }
+        // Daemon mid-teardown: balance the admission as an
+        // immediately-finished session.
+        None => shared.release_slot(),
     }
 }
 
@@ -282,19 +263,31 @@ pub fn serve_mux_trunk<T: Transport + 'static>(
     transport.write_all(&device.properties().compute_capability_wire())?;
     transport.flush()?;
 
-    let mut selector = [0u8; 4];
-    transport.read_exact(&mut selector)?;
-    if u32::from_le_bytes(selector) != FunctionId::MuxHello.as_u32() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "expected a mux upgrade hello on a trunk-serving connection",
-        ));
-    }
-    let hello = MuxHello::read_body(&mut transport)?;
-    let Some(keys) = mux_handshake(&mut transport, &hello, &config)? else {
-        return Ok(Vec::new());
+    // The hello arrives through the same decoder every connection's first
+    // message goes through.
+    let mut dec = StreamDecoder::new();
+    let hello = loop {
+        match dec.poll_client_hello()? {
+            Some(ClientHello::Mux(hello)) => break hello,
+            Some(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "expected a mux upgrade hello on a trunk-serving connection",
+                ))
+            }
+            None => {
+                let n = transport.read(dec.space(READ_CHUNK))?;
+                if n == 0 {
+                    return Err(io::ErrorKind::UnexpectedEof.into());
+                }
+                dec.commit(n);
+            }
+        }
     };
-    let (read, write) = transport.into_split()?;
+    let pre = Prefixed {
+        pre: io::Cursor::new(dec.take_buffered()),
+        inner: transport,
+    };
 
     // Per-stream workers authenticate by construction (the trunk already
     // did); clearing the token keeps the worker-level gate from rejecting
@@ -307,14 +300,7 @@ pub fn serve_mux_trunk<T: Transport + 'static>(
     type Workers = Arc<Mutex<Vec<JoinHandle<io::Result<SessionReport>>>>>;
     let workers: Workers = Arc::new(Mutex::new(Vec::new()));
     let spawned = Arc::clone(&workers);
-
-    let mux_config = MuxConfig {
-        cipher: keys.cipher,
-        key: keys.key,
-        pool: BufferPool::new(),
-        obs: config.observer.clone(),
-    };
-    let peer = MuxPeer::server(read, write, mux_config, move |stream| {
+    let accept = move |stream| {
         let device = Arc::clone(&device);
         let clock = clock.clone();
         let config = stream_config.clone();
@@ -326,7 +312,10 @@ pub fn serve_mux_trunk<T: Transport + 'static>(
             })
             .expect("spawn mux stream worker");
         spawned.lock().push(handle);
-    });
+    };
+    let Some(peer) = open_trunk(pre, &hello, &config, accept)? else {
+        return Ok(Vec::new());
+    };
 
     while !peer.is_dead() {
         std::thread::sleep(TRUNK_POLL);

@@ -5,8 +5,7 @@
 //! process-per-execution model faithfully, but its thread count scaled with
 //! the session count — at thousands of concurrent remote executions the
 //! stacks alone dominate memory and the scheduler thrashes. The reactor
-//! keeps the per-session *semantics* (admission, quotas, panic isolation,
-//! park/resume, drain) while fixing the thread count:
+//! fixes the thread count:
 //!
 //! * **N shards** (`DaemonBuilder::shards`), each one OS thread named
 //!   `rcuda-shard-<i>` running a readiness loop over its share of the
@@ -18,47 +17,41 @@
 //!   parks its connection, never its shard.
 //! * **Incremental decode** — bytes accumulate in a per-connection
 //!   [`StreamDecoder`]; a partial frame simply stays buffered until more
-//!   bytes arrive. Frames are only materialized when complete, through the
-//!   same pooled parser as the blocking worker.
+//!   bytes arrive.
 //! * **Per-shard resources** — one [`BufferPool`] per shard (recycled
 //!   across its connections), one clock, and hash-routed
 //!   [`ShardedRegistry`] shards, so the steady-state request path touches
 //!   no cross-shard locks.
 //!
-//! Each connection advances through a small state machine
-//! (`Hello → [Resume] → Running → Closing`) that mirrors
-//! `worker::serve_connection_with_registry` decision-for-decision: the
-//! PR-4 conformance suite re-runs the admission/quota/panic/drain tests
-//! against this core unchanged.
+//! Every session decision (hello forms, auth gate, dispatch and panic
+//! isolation, park or release) belongs to [`SessionCore`], the engine the
+//! blocking driver runs too. A connection here is only its I/O shell:
+//! reads into the decoder, outbound flushing, the handshake watermark, the
+//! live-migration quiesce, the mux upgrade, and daemon accounting.
+//! `tests/driver_equivalence.rs` checks that both drivers answer the same
+//! client byte streams with the same bytes and reports.
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use rcuda_core::time::wall_clock;
-use rcuda_core::{Clock as _, CudaError, SharedClock};
+use rcuda_core::Clock as _;
 use rcuda_gpu::{GpuContext, GpuDevice};
-use rcuda_obs::{DaemonEvent, ShardSpan};
-use rcuda_proto::codec::{fold_caps, CAP_ALL, CAP_LZ4};
-use rcuda_proto::handshake::write_hello_reply;
+use rcuda_obs::ShardSpan;
 use rcuda_proto::mux::MuxHello;
-use rcuda_proto::{BufferPool, ClientHello, Codec, Frame, SessionHello, StreamDecoder};
+use rcuda_proto::{BufferPool, StreamDecoder};
 use rcuda_transport::{Progress, Transport};
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{Shutdown, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::dispatch::dispatch_batch_pooled;
 use crate::pool::PoolGuard;
 use crate::registry::ShardedRegistry;
-use crate::worker::{
-    dispatch_batch_observed, dispatch_observed, panic_response, release_context, ServerConfig,
-    SessionReport, RESUME_WAIT,
-};
-use rcuda_proto::{BatchResponse, Request, Response};
+use crate::session::{SessionCore, Step, RESUME_WAIT};
+use crate::worker::{ServerConfig, SessionReport};
 
 /// Smallest per-connection read chunk: enough for every fixed-size request
 /// in one gulp while keeping idle connections cheap (10k parked
@@ -209,6 +202,71 @@ pub(crate) struct Shared {
     /// Set once a drain begins, for the broker heartbeat's `draining` flag
     /// (the broker stops placing new sessions here).
     pub(crate) draining: AtomicBool,
+    /// Signalled whenever a connection gives its admission slot back.
+    pub(crate) settled: Settled,
+}
+
+/// Wakes daemon threads waiting for sessions to end
+/// ([`crate::daemon::RcudaDaemon::wait_for_sessions`] and `drain`).
+#[derive(Default)]
+pub(crate) struct Settled {
+    lock: std::sync::Mutex<()>,
+    cv: Condvar,
+}
+
+impl Shared {
+    /// The single session-finalize path: record the report of a session
+    /// whose handshake completed, then give the admission slot back.
+    pub(crate) fn end_session(&self, report: Option<SessionReport>) {
+        if let Some(report) = report {
+            let c = &self.counters;
+            if report.panicked {
+                c.panics.fetch_add(1, Ordering::SeqCst);
+            }
+            c.reclaimed_bytes
+                .fetch_add(report.reclaimed_bytes, Ordering::SeqCst);
+            self.reports.lock().push(report);
+            self.sessions_served.fetch_add(1, Ordering::SeqCst);
+        }
+        self.drain.note_closed();
+        self.release_slot();
+    }
+
+    /// Balance an admission as a finished connection and wake waiters. Also
+    /// the whole ending of connections that never became sessions (a mux
+    /// upgrade, a socket that died before reaching a shard).
+    pub(crate) fn release_slot(&self) {
+        self.counters.served.fetch_add(1, Ordering::SeqCst);
+        // `live` goes last: a drain watching it hit zero must observe this
+        // connection's graceful/forced accounting already settled.
+        self.counters.live.fetch_sub(1, Ordering::SeqCst);
+        let _guard = self.settled.lock.lock().expect("settled lock");
+        self.settled.cv.notify_all();
+    }
+
+    /// Block until `done` holds (checked again after every released slot)
+    /// or `timeout` passes. Returns whether `done` held.
+    pub(crate) fn wait_until(
+        &self,
+        timeout: Option<Duration>,
+        done: impl Fn(&Shared) -> bool,
+    ) -> bool {
+        let guard = self.settled.lock.lock().expect("settled lock");
+        let pending = |_: &mut ()| !done(self);
+        let cv = &self.settled.cv;
+        match timeout {
+            None => {
+                drop(cv.wait_while(guard, pending).expect("settled lock"));
+                true
+            }
+            Some(t) => {
+                let (_guard, waited) = cv
+                    .wait_timeout_while(guard, t, pending)
+                    .expect("settled lock");
+                !waited.timed_out()
+            }
+        }
+    }
 }
 
 /// A freshly admitted connection on its way to a shard.
@@ -310,7 +368,7 @@ fn shard_loop(id: u32, rx: Receiver<NewConn>, queued: Arc<AtomicU32>, shared: Ar
             match rx.try_recv() {
                 Ok(new) => {
                     queued.fetch_sub(1, Ordering::SeqCst);
-                    conns.push(Conn::register(new, &shared));
+                    conns.push(Conn::register(new, &pool, &shared));
                     admitted += 1;
                 }
                 Err(TryRecvError::Empty) => break,
@@ -327,11 +385,14 @@ fn shard_loop(id: u32, rx: Receiver<NewConn>, queued: Arc<AtomicU32>, shared: Ar
             if forcing {
                 conn.force_close();
             }
-            let act = conn.pump(&pool, &shared);
+            let act = conn.pump(&shared);
             frames += act.frames;
             moved |= act.progress;
             if conn.done {
-                drop(conns.swap_remove(i));
+                let mut conn = conns.swap_remove(i);
+                if let Some(hello) = conn.upgrade.take() {
+                    conn.upgrade_to_mux(hello, &shared);
+                }
             } else {
                 i += 1;
             }
@@ -370,21 +431,6 @@ fn shard_loop(id: u32, rx: Receiver<NewConn>, queued: Arc<AtomicU32>, shared: Ar
 
 // ---------------------------------------------------------- the connection
 
-#[derive(Clone, Copy)]
-enum Phase {
-    /// Waiting for the client's `SessionHello`.
-    Hello,
-    /// A `Reconnect` arrived before the dying connection parked the
-    /// session: poll the registry until the context shows up or the
-    /// deadline passes (the nonblocking form of
-    /// `SessionRegistry::take_deadline`).
-    Resume { session: u64, deadline: Instant },
-    /// The request/dispatch/respond loop.
-    Running,
-    /// Drain the outbound buffer, then finalize.
-    Closing,
-}
-
 struct PumpResult {
     frames: u32,
     progress: bool,
@@ -397,36 +443,34 @@ struct Conn {
     /// Outbound bytes not yet accepted by the transport.
     out: Vec<u8>,
     out_pos: usize,
-    /// Total bytes ever queued / flushed, for the handshake watermark.
-    queued_total: u64,
+    /// Total bytes ever flushed, for the handshake watermark.
     flushed_total: u64,
     /// Once the outbound bytes up to this watermark are flushed, the
     /// handshake has observably completed and the session produces a
-    /// report — exactly the connections whose blocking worker returned
+    /// report — exactly the connections whose blocking driver returned
     /// `Ok(report)` rather than a handshake error.
     handshake_done_at: Option<u64>,
-    phase: Phase,
-    /// Warm context created at admission (§VI-B); consumed by the hello.
-    fresh_ctx: Option<GpuContext>,
-    /// The device serving this connection, kept for snapshot restores
-    /// (a `Migrate` hello rebuilds a shipped context on it).
-    device: Arc<GpuDevice>,
-    ctx: Option<GpuContext>,
-    token: Option<u64>,
-    report: SessionReport,
-    clk: SharedClock,
+    /// The session; taken by finalize (or dropped by a mux upgrade).
+    core: Option<SessionCore>,
+    /// A `Reconnect` arrived before the dying connection parked the
+    /// session: the registry is polled until this deadline (the
+    /// nonblocking form of `SessionRegistry::take_deadline`).
+    resume_deadline: Option<Instant>,
+    /// The resumable session token advertised in `Shared::live_tokens`.
+    live_token: Option<u64>,
+    /// Drain the outbound buffer, then finalize.
+    closing: bool,
+    /// The client asked for a mux trunk; the shard hands the connection
+    /// over once the pass ends.
+    upgrade: Option<MuxHello>,
     read_chunk: usize,
     eof: bool,
     done: bool,
     guard: Option<PoolGuard>,
-    authenticated: bool,
-    /// Wire codec, installed when the client's `CodecHello` accepts the
-    /// capabilities advertised in the CC push; `None` = legacy framing.
-    codec: Option<Codec>,
 }
 
 impl Conn {
-    fn register(new: NewConn, shared: &Shared) -> Conn {
+    fn register(new: NewConn, pool: &BufferPool, shared: &Shared) -> Conn {
         let NewConn {
             transport,
             raw,
@@ -434,64 +478,40 @@ impl Conn {
             guard,
             authenticated,
         } = new;
-        let clk: SharedClock = wall_clock();
-        let config = &shared.config;
-        let fresh_ctx = if config.phantom_memory {
-            device.create_phantom_context(clk.clone(), config.preinitialize_context)
-        } else {
-            device.create_context(clk.clone(), config.preinitialize_context)
-        };
+        let mut out = Vec::new();
+        let core = SessionCore::new(
+            &device,
+            wall_clock(),
+            pool.clone(),
+            authenticated,
+            &shared.config,
+            &mut out,
+        );
         let mut conn = Conn {
             transport,
             raw,
             decoder: StreamDecoder::new(),
-            out: Vec::new(),
+            out,
             out_pos: 0,
-            queued_total: 0,
             flushed_total: 0,
             handshake_done_at: None,
-            phase: Phase::Hello,
-            fresh_ctx: Some(fresh_ctx),
-            device: Arc::clone(&device),
-            ctx: None,
-            token: None,
-            report: SessionReport::default(),
-            clk,
+            core: Some(core),
+            resume_deadline: None,
+            live_token: None,
+            closing: false,
+            upgrade: None,
             read_chunk: READ_CHUNK_MIN,
             eof: false,
             done: false,
             guard: Some(guard),
-            authenticated,
-            codec: None,
         };
         // A transport without a nonblocking half cannot be multiplexed;
         // close it immediately (register still returns a Conn so the
         // daemon counters balance through the normal finalize path).
         if conn.transport.set_nonblocking(true).is_err() {
             conn.abort();
-            return conn;
         }
-        // Phase 1a: announce the device (8-byte compute capability), with
-        // the daemon's codec capability bits folded into the high half of
-        // the minor word (legacy clients never inspect those bits).
-        let mut cc = device.properties().compute_capability_wire();
-        if config.codec {
-            let minor = u32::from_le_bytes(cc[4..8].try_into().expect("8-byte wire"));
-            cc[4..8].copy_from_slice(&fold_caps(minor, CAP_ALL).to_le_bytes());
-        }
-        conn.queue(|out| {
-            out.extend_from_slice(&cc);
-            Ok(())
-        });
         conn
-    }
-
-    /// Append serialized bytes to the outbound buffer. Writing to a `Vec`
-    /// cannot fail, so serializer errors here are programming errors.
-    fn queue<F: FnOnce(&mut Vec<u8>) -> io::Result<()>>(&mut self, f: F) {
-        let before = self.out.len();
-        f(&mut self.out).expect("serializing into a Vec cannot fail");
-        self.queued_total += (self.out.len() - before) as u64;
     }
 
     fn eligible(&self) -> bool {
@@ -500,17 +520,11 @@ impl Conn {
     }
 
     /// Close without ever producing a report: the nonblocking equivalent
-    /// of the blocking worker returning a handshake `Err`.
+    /// of the blocking driver returning a handshake `Err`.
     fn abort(&mut self) {
         self.handshake_done_at = None;
         self.out_pos = self.out.len();
-        self.phase = Phase::Closing;
-    }
-
-    /// End the session through the normal report-producing path once the
-    /// outbound buffer drains.
-    fn begin_close(&mut self) {
-        self.phase = Phase::Closing;
+        self.closing = true;
     }
 
     /// Drain-deadline or daemon-halt close: shut the peer down and
@@ -521,16 +535,16 @@ impl Conn {
         }
         self.eof = true;
         self.out_pos = self.out.len();
-        self.phase = Phase::Closing;
+        self.closing = true;
     }
 
     /// A write failure is a vanished peer. Before the handshake watermark
     /// flushed this matches a blocking handshake error (no report); after
-    /// it, the blocking worker's `break` (report, park-eligible).
+    /// it, a disconnect (report, park-eligible).
     fn on_write_failure(&mut self) {
         if self.eligible() {
             self.out_pos = self.out.len();
-            self.begin_close();
+            self.closing = true;
         } else {
             self.abort();
         }
@@ -569,8 +583,8 @@ impl Conn {
         progress
     }
 
-    /// One readiness pass: flush, read, decode/dispatch, flush, finalize.
-    fn pump(&mut self, pool: &BufferPool, shared: &Arc<Shared>) -> PumpResult {
+    /// One readiness pass: flush, read, step the session, flush, finalize.
+    fn pump(&mut self, shared: &Arc<Shared>) -> PumpResult {
         let mut res = PumpResult {
             frames: 0,
             progress: false,
@@ -579,7 +593,7 @@ impl Conn {
 
         // Read whatever the transport has, growing the chunk for
         // connections that move bulk data.
-        if !self.eof && !matches!(self.phase, Phase::Closing) {
+        if !self.eof && !self.closing {
             loop {
                 let chunk = self.read_chunk;
                 let space = self.decoder.space(chunk);
@@ -609,18 +623,80 @@ impl Conn {
             }
         }
 
-        self.process(pool, shared, &mut res);
+        self.process(shared, &mut res);
+        if self.done {
+            return res;
+        }
 
         res.progress |= self.flush_out();
         self.quiesce_for_migration(shared, &mut res);
-        if matches!(self.phase, Phase::Closing) && self.out_pos >= self.out.len() {
-            self.finalize(pool, shared);
+        if self.closing && self.out_pos >= self.out.len() {
+            self.finalize(shared);
             res.progress = true;
         }
         res
     }
 
-    /// Live-migration quiesce point. A `Running` session whose token has an
+    /// Step the session over every buffered message, up to the per-pass
+    /// frame budget.
+    fn process(&mut self, shared: &Arc<Shared>, res: &mut PumpResult) {
+        let config = &shared.config;
+        while !self.closing && res.frames < FRAMES_PER_PASS {
+            let Some(core) = self.core.as_mut() else {
+                return;
+            };
+            let step = match core.step(
+                &mut self.decoder,
+                self.eof,
+                &mut self.out,
+                config,
+                &shared.registry,
+            ) {
+                Ok(step) => step,
+                Err(_) => return self.abort(),
+            };
+            match step {
+                Step::NeedInput => return,
+                Step::Served => res.frames += 1,
+                Step::Handshaken => self.on_handshaken(shared),
+                Step::Resume(session) => {
+                    if self.eof {
+                        return self.abort();
+                    }
+                    let deadline = *self
+                        .resume_deadline
+                        .get_or_insert_with(|| Instant::now() + RESUME_WAIT);
+                    let ctx = shared.registry.take(session);
+                    if ctx.is_none() && Instant::now() < deadline {
+                        return;
+                    }
+                    core.resume(ctx, &mut self.out, config);
+                    self.on_handshaken(shared);
+                }
+                Step::Mux(hello) => {
+                    self.upgrade = Some(hello);
+                    self.done = true;
+                    res.progress = true;
+                    return;
+                }
+                Step::Closed => self.closing = true,
+            }
+            res.progress = true;
+        }
+    }
+
+    /// The hello reply is queued: set the handshake watermark and
+    /// advertise a running resumable session's token.
+    fn on_handshaken(&mut self, shared: &Shared) {
+        let pending = (self.out.len() - self.out_pos) as u64;
+        self.handshake_done_at = Some(self.flushed_total + pending);
+        self.live_token = self.core.as_ref().and_then(SessionCore::running_token);
+        if let Some(token) = self.live_token {
+            shared.live_tokens.lock().insert(token);
+        }
+    }
+
+    /// Live-migration quiesce point. A running session whose token has an
     /// armed migration order is captured at a frame boundary: every
     /// response flushed, no partial request buffered, peer still present.
     /// The context travels to `RcudaDaemon::migrate_out` through the
@@ -628,396 +704,68 @@ impl Conn {
     /// session lives elsewhere now), and the client's reconnect finds it
     /// on the target daemon.
     fn quiesce_for_migration(&mut self, shared: &Shared, res: &mut PumpResult) {
-        if !shared.migrations.is_armed() || !matches!(self.phase, Phase::Running) || self.eof {
+        if !shared.migrations.is_armed() || self.closing || self.eof {
             return;
         }
-        let Some(token) = self.token else { return };
+        let Some(core) = self.core.as_mut() else {
+            return;
+        };
+        let Some(token) = core.running_token() else {
+            return;
+        };
         if self.out_pos < self.out.len() || self.decoder.buffered() != 0 {
             return;
         }
         let Some(tx) = shared.migrations.take(token) else {
             return;
         };
-        let ctx = self.ctx.take().expect("Running implies a context");
-        if let Err(back) = tx.send(ctx) {
-            // The daemon gave up waiting between our checks and the send:
-            // keep serving as if nothing happened.
-            self.ctx = Some(back.0);
+        if !core.migrate(&tx) {
             return;
         }
         shared.live_tokens.lock().remove(&token);
-        self.token = None;
+        self.live_token = None;
         self.force_close();
         res.progress = true;
     }
 
-    fn process(&mut self, pool: &BufferPool, shared: &Arc<Shared>, res: &mut PumpResult) {
-        loop {
-            match self.phase {
-                Phase::Hello => match self.decoder.poll_client_hello() {
-                    Ok(Some(ClientHello::Mux(hello))) => {
-                        self.upgrade_to_mux(hello, shared);
-                        res.progress = true;
-                        return;
-                    }
-                    Ok(Some(ClientHello::Codec(caps))) => {
-                        // The client accepted the advertised codec: switch
-                        // this connection's framing and stay in the hello
-                        // phase — the session hello proper follows.
-                        if caps & CAP_LZ4 != 0 {
-                            self.codec = Some(Codec::new(pool.clone()));
-                        }
-                        res.progress = true;
-                    }
-                    Ok(Some(ClientHello::Session(hello))) => {
-                        if shared.config.auth_token.is_some() && !self.authenticated {
-                            // A legacy hello cannot carry the required
-                            // token: answer with the 4-byte auth error
-                            // every hello form reads, then close through
-                            // the normal report path (`served` still
-                            // balances; the slot frees on finalize).
-                            self.queue(|out| write_hello_reply(out, &Err(CudaError::AuthFailed)));
-                            self.handshake_done_at = Some(self.queued_total);
-                            self.begin_close();
-                            res.progress = true;
-                            return;
-                        }
-                        self.on_hello(hello, shared);
-                        res.progress = true;
-                    }
-                    Ok(None) => {
-                        if self.eof {
-                            self.abort();
-                        }
-                        return;
-                    }
-                    Err(_) => {
-                        self.abort();
-                        return;
-                    }
-                },
-                Phase::Resume { session, deadline } => {
-                    if self.eof {
-                        self.abort();
-                        return;
-                    }
-                    match shared.registry.take(session) {
-                        Some(ctx) => {
-                            self.on_resumed(session, ctx, shared);
-                            res.progress = true;
-                        }
-                        None if Instant::now() >= deadline => {
-                            // Nothing parked under that token: reject and
-                            // end the connection cleanly (with a report).
-                            self.queue(|out| {
-                                write_hello_reply(out, &Err(CudaError::InitializationError))
-                            });
-                            self.handshake_done_at = Some(self.queued_total);
-                            self.begin_close();
-                            res.progress = true;
-                            return;
-                        }
-                        None => return,
-                    }
-                }
-                Phase::Running => {
-                    if res.frames >= FRAMES_PER_PASS {
-                        return;
-                    }
-                    match self
-                        .decoder
-                        .poll_frame_codec(Some(pool), self.codec.as_ref())
-                    {
-                        Ok(Some(frame)) => {
-                            res.frames += 1;
-                            res.progress = true;
-                            self.on_frame(frame, pool, shared);
-                        }
-                        Ok(None) => {
-                            if self.eof {
-                                // Disconnect: unorderly end (park-eligible).
-                                self.begin_close();
-                            }
-                            return;
-                        }
-                        // Garbage on the wire ends the session, not the
-                        // daemon: the blocking worker's loop exit.
-                        Err(_) => {
-                            self.begin_close();
-                            return;
-                        }
-                    }
-                }
-                Phase::Closing => return,
-            }
-        }
-    }
-
-    /// The client asked for the multiplexed framing layer: pull this
-    /// connection out of the shard and hand it to a dedicated trunk host
-    /// (see [`crate::mux_host`]). The trunk is not a session — its
-    /// sub-streams are admitted individually — so the accept-time
-    /// accounting is balanced here as an immediately-finished connection
-    /// and the warm context and pool seat are returned.
-    fn upgrade_to_mux(&mut self, hello: MuxHello, shared: &Arc<Shared>) {
-        drop(self.fresh_ctx.take());
+    /// The client asked for the multiplexed framing layer: hand this
+    /// connection to a dedicated trunk host (see [`crate::mux_host`]). The
+    /// trunk is not a session — its sub-streams are admitted individually —
+    /// so the warm context and pool seat are returned and the accept-time
+    /// accounting is balanced here as an immediately-finished connection.
+    fn upgrade_to_mux(mut self, hello: MuxHello, shared: &Arc<Shared>) {
+        drop(self.core.take());
         drop(self.guard.take());
-        let c = &shared.counters;
-        c.served.fetch_add(1, Ordering::SeqCst);
-        c.live.fetch_sub(1, Ordering::SeqCst);
-
-        let transport = std::mem::replace(&mut self.transport, Box::new(ClosedTransport));
-        let leftover = self.decoder.take_buffered();
-        let pending_out = self.out[self.out_pos..].to_vec();
-        self.out.clear();
-        self.out_pos = 0;
-        self.done = true;
+        shared.release_slot();
         crate::mux_host::spawn_reactor_trunk(
-            transport,
-            self.raw.take(),
+            self.transport,
+            self.raw,
             hello,
-            leftover,
-            pending_out,
+            self.decoder.take_buffered(),
+            self.out.split_off(self.out_pos),
             Arc::clone(shared),
         );
     }
 
-    fn on_hello(&mut self, hello: SessionHello, shared: &Shared) {
-        match hello {
-            SessionHello::Fresh { module } => {
-                self.init_fresh(module, None, shared);
-            }
-            SessionHello::Resumable { session, module } => {
-                self.init_fresh(module, Some(session), shared);
-            }
-            SessionHello::Reconnect { session } => {
-                // The pre-created context is discarded: the parked one
-                // carries the session's state.
-                drop(self.fresh_ctx.take());
-                match shared.registry.take(session) {
-                    Some(ctx) => self.on_resumed(session, ctx, shared),
-                    None => {
-                        self.phase = Phase::Resume {
-                            session,
-                            deadline: Instant::now() + RESUME_WAIT,
-                        };
-                    }
-                }
-            }
-            SessionHello::Migrate { session, snapshot } => {
-                // A peer daemon is shipping a quiesced session here. The
-                // restored context parks immediately — the client's
-                // reconnect resumes it exactly like a locally parked one.
-                drop(self.fresh_ctx.take());
-                let reply = self.install_snapshot(session, &snapshot, shared);
-                self.queue(|out| write_hello_reply(out, &reply));
-                self.handshake_done_at = Some(self.queued_total);
-                self.begin_close();
-            }
-        }
-    }
-
-    /// Rebuild a shipped context from its snapshot on this connection's
-    /// device and park it under the session's token. Errors go back to the
-    /// shipping daemon as the hello reply (it keeps its copy on failure).
-    fn install_snapshot(
-        &mut self,
-        session: u64,
-        snapshot: &[u8],
-        shared: &Shared,
-    ) -> rcuda_core::CudaResult<()> {
-        let snap = rcuda_gpu::snapshot::ContextSnapshot::decode(snapshot)
-            .map_err(|_| CudaError::InvalidValue)?;
-        let mut ctx = self.device.restore_context(self.clk.clone(), &snap)?;
-        ctx.set_mem_quota(shared.config.session_mem_quota);
-        if let Some((evicted, evicted_ctx)) = shared.registry.park(session, ctx) {
-            let obs = &shared.config.observer;
-            obs.emit_daemon(DaemonEvent::SessionEvicted { session: evicted });
-            self.report.reclaimed_bytes += release_context(evicted_ctx, obs);
-        }
-        Ok(())
-    }
-
-    fn init_fresh(&mut self, module: Vec<u8>, token: Option<u64>, shared: &Shared) {
-        let obs = shared.config.observer.clone();
-        let mut ctx = self
-            .fresh_ctx
-            .take()
-            .expect("hello arrives once per connection");
-        let resp = dispatch_observed(&mut ctx, &Request::Init { module }, None, &self.clk, &obs)
-            .expect("init never quits");
-        self.queue(|out| resp.write(out));
-        self.handshake_done_at = Some(self.queued_total);
-        // Multi-tenant limits apply to resumed sessions too: the quota
-        // follows the config serving the connection.
-        ctx.set_mem_quota(shared.config.session_mem_quota);
-        self.ctx = Some(ctx);
-        self.token = token;
-        if let Some(session) = token {
-            shared.live_tokens.lock().insert(session);
-        }
-        self.phase = Phase::Running;
-    }
-
-    fn on_resumed(&mut self, session: u64, mut ctx: GpuContext, shared: &Shared) {
-        self.queue(|out| write_hello_reply(out, &Ok(())));
-        self.handshake_done_at = Some(self.queued_total);
-        self.report.resumed = true;
-        ctx.set_mem_quota(shared.config.session_mem_quota);
-        self.ctx = Some(ctx);
-        self.token = Some(session);
-        shared.live_tokens.lock().insert(session);
-        self.phase = Phase::Running;
-    }
-
-    fn on_frame(&mut self, frame: Frame, pool: &BufferPool, shared: &Shared) {
-        let obs = shared.config.observer.clone();
-        let chaos = &shared.config.chaos;
-        // Taken for the duration so the queue closures (which borrow `self`
-        // mutably) can frame responses through it; restored on exit.
-        let codec = self.codec.take();
-        let ctx = self.ctx.as_mut().expect("Running implies a context");
-        match frame {
-            Frame::Single(req) => {
-                self.report.requests += 1;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    chaos.fire(&req);
-                    dispatch_observed(ctx, &req, Some(pool), &self.clk, &obs)
-                }));
-                match outcome {
-                    Ok(Some(resp)) => self.queue(|out| resp.write_codec(out, codec.as_ref())),
-                    Ok(None) => {
-                        // Finalization stage: acknowledge the Quit, then
-                        // release everything (§III).
-                        let ack = Response::Ack(Ok(()));
-                        self.queue(|out| ack.write(out));
-                        self.report.orderly_shutdown = true;
-                        self.begin_close();
-                    }
-                    Err(_) => {
-                        let resp = panic_response(&req);
-                        self.queue(|out| resp.write(out));
-                        obs.emit_daemon(DaemonEvent::SessionPanicked);
-                        self.report.panicked = true;
-                        self.begin_close();
-                    }
-                }
-            }
-            Frame::Batch(batch) => {
-                self.report.requests += batch.len() as u64;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if obs.is_enabled() || chaos.is_armed() {
-                        dispatch_batch_observed(ctx, &batch, Some(pool), &self.clk, &obs, chaos)
-                    } else {
-                        dispatch_batch_pooled(ctx, &batch, Some(pool))
-                    }
-                }));
-                match outcome {
-                    Ok((resp, quit)) => {
-                        self.queue(|out| resp.write_codec(out, codec.as_ref()));
-                        if quit {
-                            self.report.orderly_shutdown = true;
-                            self.begin_close();
-                        }
-                    }
-                    Err(_) => {
-                        // Answer every element so the frame stays shaped,
-                        // then kill the session.
-                        let responses = batch.requests().iter().map(panic_response).collect();
-                        let resp = BatchResponse { responses };
-                        self.queue(|out| resp.write(out));
-                        obs.emit_daemon(DaemonEvent::SessionPanicked);
-                        self.report.panicked = true;
-                        self.begin_close();
-                    }
-                }
-            }
-        }
-        self.codec = codec;
-    }
-
-    /// Session end: the blocking worker's exit path, plus the daemon-side
-    /// accounting its spawner used to do.
-    fn finalize(&mut self, pool: &BufferPool, shared: &Shared) {
+    /// Connection end: the session's report (only if its handshake
+    /// observably completed), then the daemon-side accounting.
+    fn finalize(&mut self, shared: &Shared) {
         self.done = true;
         drop(self.guard.take());
-        if let Some(token) = self.token {
-            // Parked tokens are advertised through the registry instead;
-            // a migrated-away session already cleared its token.
+        if let Some(token) = self.live_token.take() {
+            // Parked tokens are advertised through the registry instead.
             shared.live_tokens.lock().remove(&token);
         }
-        let obs = &shared.config.observer;
-        if self.eligible() {
-            let mut report = std::mem::take(&mut self.report);
-            if let Some(ctx) = self.ctx.take() {
-                match self.token {
-                    Some(session) if !report.orderly_shutdown && !report.panicked => {
-                        // Unorderly end of a resumable session: park the
-                        // context for the client's reconnect. A session
-                        // evicted to make room is reclaimed here, through
-                        // the same path as a session exit.
-                        if let Some((evicted, evicted_ctx)) = shared.registry.park(session, ctx) {
-                            obs.emit_daemon(DaemonEvent::SessionEvicted { session: evicted });
-                            report.reclaimed_bytes += release_context(evicted_ctx, obs);
-                        }
-                        report.parked = true;
-                    }
-                    _ => {
-                        report.leaked_allocations = ctx.live_allocations();
-                        report.reclaimed_bytes += release_context(ctx, obs);
-                    }
-                }
-            }
-            report.pool = pool.stats();
-            if report.panicked {
-                shared.counters.panics.fetch_add(1, Ordering::SeqCst);
-            }
-            shared
-                .counters
-                .reclaimed_bytes
-                .fetch_add(report.reclaimed_bytes, Ordering::SeqCst);
-            shared.reports.lock().push(report);
-            shared.sessions_served.fetch_add(1, Ordering::SeqCst);
+        let core = self.core.take().expect("finalized once");
+        let report = if self.eligible() {
+            Some(core.finish(&shared.config, &shared.registry))
         } else {
             // The handshake never observably completed: contexts drop
-            // silently, mirroring the blocking worker's early `Err` return
+            // silently, mirroring the blocking driver's early `Err` return
             // (a warm, allocation-free context releases nothing).
-            drop(self.fresh_ctx.take());
-            drop(self.ctx.take());
-        }
-        shared.counters.served.fetch_add(1, Ordering::SeqCst);
-        shared.drain.note_closed();
-        // `live` goes last: a drain watching it hit zero must observe this
-        // connection's graceful/forced accounting already settled.
-        shared.counters.live.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// The stand-in left behind when a connection's transport is moved to a
-/// mux trunk host: reads are EOF, writes fail.
-struct ClosedTransport;
-
-impl io::Read for ClosedTransport {
-    fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
-        Ok(0)
-    }
-}
-
-impl io::Write for ClosedTransport {
-    fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
-        Err(io::Error::new(
-            io::ErrorKind::BrokenPipe,
-            "transport moved to a mux trunk host",
-        ))
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Transport for ClosedTransport {
-    fn stats(&self) -> rcuda_transport::TransportStats {
-        rcuda_transport::TransportStats::default()
+            drop(core);
+            None
+        };
+        shared.end_session(report);
     }
 }

@@ -224,11 +224,6 @@ impl ShardedRegistry {
         self.route(session).take(session)
     }
 
-    /// Take a parked context, waiting up to `timeout` for it to appear.
-    pub fn take_deadline(&self, session: u64, timeout: Duration) -> Option<GpuContext> {
-        self.route(session).take_deadline(session, timeout)
-    }
-
     /// Sessions parked across all shards.
     pub fn parked_count(&self) -> usize {
         self.shards.iter().map(|s| s.parked_count()).sum()
@@ -242,6 +237,34 @@ impl ShardedRegistry {
     /// Empty every shard, returning all parked `(token, context)` pairs.
     pub fn drain_parked(&self) -> Vec<(u64, GpuContext)> {
         self.shards.iter().flat_map(|s| s.drain_parked()).collect()
+    }
+}
+
+/// Where a session parks its context on an unorderly end and a
+/// `Reconnect` looks for it: a caller's plain [`SessionRegistry`] under the
+/// blocking driver, the daemon's [`ShardedRegistry`] under the reactor.
+pub(crate) trait Parking {
+    fn park(&self, session: u64, ctx: GpuContext) -> Option<(u64, GpuContext)>;
+    fn take(&self, session: u64) -> Option<GpuContext>;
+}
+
+impl Parking for SessionRegistry {
+    fn park(&self, session: u64, ctx: GpuContext) -> Option<(u64, GpuContext)> {
+        SessionRegistry::park(self, session, ctx)
+    }
+
+    fn take(&self, session: u64) -> Option<GpuContext> {
+        SessionRegistry::take(self, session)
+    }
+}
+
+impl Parking for ShardedRegistry {
+    fn park(&self, session: u64, ctx: GpuContext) -> Option<(u64, GpuContext)> {
+        ShardedRegistry::park(self, session, ctx)
+    }
+
+    fn take(&self, session: u64) -> Option<GpuContext> {
+        ShardedRegistry::take(self, session)
     }
 }
 

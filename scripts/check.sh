@@ -8,7 +8,7 @@ echo "== cargo build --release ==" >&2
 cargo build --release --workspace
 
 echo "== cargo test ==" >&2
-cargo test -q --workspace
+cargo test -q --workspace --no-fail-fast
 
 echo "== failure-injection conformance (3 seeds) ==" >&2
 RCUDA_FAULT_SEEDS=3 cargo test -q --test failure_injection

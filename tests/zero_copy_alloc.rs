@@ -25,6 +25,7 @@ use rcuda::session::{Endpoint, Session};
 use rcuda::transport::{TcpTransport, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
@@ -53,6 +54,17 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
+/// The counter is process-global, so the tests in this file take turns:
+/// each holds this lock from before its daemon starts until after the
+/// daemon (and every shard thread it joins on drop) is gone. Declare the
+/// guard first so it drops last.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serialize() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the next one still runs alone.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Iterations that grow trace buffers and warm every pool class.
 const WARMUP: usize = 32;
 /// Iterations inside the counted window.
@@ -75,6 +87,7 @@ fn round_trip<T: Transport>(
 
 #[test]
 fn memcpy_round_trip_is_allocation_free_at_steady_state() {
+    let _serial = serialize();
     let mut daemon = RcudaDaemon::builder()
         .device(GpuDevice::tesla_c1060_functional())
         .bind("127.0.0.1:0")
@@ -151,6 +164,8 @@ fn memcpy_round_trip_is_allocation_free_at_steady_state() {
 fn codec_memcpy_round_trip_is_allocation_free_at_steady_state() {
     use rcuda::proto::CodecMode;
 
+    let _serial = serialize();
+
     let mut daemon = RcudaDaemon::builder()
         .device(GpuDevice::tesla_c1060_functional())
         .bind("127.0.0.1:0")
@@ -217,6 +232,7 @@ fn codec_memcpy_round_trip_is_allocation_free_at_steady_state() {
 /// credit flow control, and the demux engine must all ride pooled buffers.
 #[test]
 fn muxed_memcpy_round_trip_is_allocation_free_at_steady_state() {
+    let _serial = serialize();
     let mut daemon = RcudaDaemon::builder()
         .device(GpuDevice::tesla_c1060_functional())
         .bind("127.0.0.1:0")
