@@ -34,9 +34,9 @@ const BROKER_PROTO_MINOR: u32 = 0;
 /// long a handler thread can linger after the peer wedges without EOF.
 const DAEMON_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Accept-loop poll interval (the listener runs nonblocking so shutdown
-/// never waits on a dial).
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Pause after a failed accept (e.g. `EMFILE`), so a persistent failure
+/// cannot spin the accept thread hot.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
 struct Inner {
     directory: Mutex<Directory>,
@@ -98,7 +98,6 @@ impl BrokerBuilder {
     /// Bind the listener and start the accept and sweeper threads.
     pub fn bind(self, addr: SocketAddr) -> io::Result<Broker> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             directory: Mutex::new(Directory::new(self.policy, self.health, self.observer)),
@@ -190,7 +189,11 @@ impl Broker {
 
     /// Stop the accept loop, unblock and join every handler thread.
     pub fn shutdown(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
+        if self.inner.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Unblock the accept() with a dummy connection.
+        let _ = TcpStream::connect(self.addr);
         for conn in self.inner.conns.lock().drain(..) {
             let _ = conn.shutdown(Shutdown::Both);
         }
@@ -207,12 +210,14 @@ impl Drop for Broker {
 }
 
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    while !inner.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Shutdown dials the listener to end the wait above.
+        if inner.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
                 if let Ok(clone) = stream.try_clone() {
                     inner.conns.lock().push(clone);
                 }
@@ -223,10 +228,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                         let _ = serve_connection(stream, conn_inner);
                     });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }

@@ -7,18 +7,17 @@
 //! TCP for functional runs, a simulated network for modeled runs — so
 //! applications are oblivious to the GPU being remote.
 //!
-//! The client also records a [`trace::Trace`] of every call (operation,
-//! bytes each way, start/end times), the raw material of the paper's
-//! methodology: "we analyze the traces of two different case studies over
-//! two different networks" (§I).
+//! With an observer installed ([`RemoteRuntime::set_observer`]) the client
+//! reports one [`rcuda_obs::CallSpan`] per call (operation, bytes each way,
+//! start/end times), the raw material of the paper's methodology: "we
+//! analyze the traces of two different case studies over two different
+//! networks" (§I). A [`rcuda_obs::Recorder`] keeps them for replay.
 
 pub mod error;
 pub(crate) mod failover;
 pub mod retry;
 pub mod runtime;
-pub mod trace;
 
 pub use error::transport_error;
 pub use retry::{batch_is_idempotent, is_idempotent, RetryPolicy};
 pub use runtime::{fresh_session_token, RemoteRuntime};
-pub use trace::{CallEvent, Trace};

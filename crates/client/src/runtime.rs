@@ -54,7 +54,6 @@ use std::time::{Duration, Instant};
 use crate::error::transport_error;
 use crate::failover::{Expect, FailoverJournal};
 use crate::retry::{batch_is_idempotent, is_idempotent, RetryPolicy};
-use crate::trace::{CallEvent, Trace};
 
 /// Process-wide session-token sequence (uniqueness within the process is
 /// all the registry needs; the pid guards against cross-process clashes on
@@ -73,7 +72,6 @@ pub fn fresh_session_token() -> u64 {
 pub struct RemoteRuntime<T: Transport> {
     transport: T,
     clock: SharedClock,
-    trace: Trace,
     /// Compute capability announced by the server at connect time.
     server_cc: Option<(u32, u32)>,
     initialized: bool,
@@ -124,13 +122,12 @@ pub struct RemoteRuntime<T: Transport> {
 }
 
 impl<T: Transport> RemoteRuntime<T> {
-    /// Wrap a connected transport. The clock timestamps the trace (wall for
-    /// real runs, virtual for simulated ones).
+    /// Wrap a connected transport. The clock timestamps each call's
+    /// [`CallSpan`] (wall for real runs, virtual for simulated ones).
     pub fn new(transport: T, clock: SharedClock) -> Self {
         RemoteRuntime {
             transport,
             clock,
-            trace: Trace::new(),
             server_cc: None,
             initialized: false,
             pipeline_depth: 0,
@@ -154,16 +151,6 @@ impl<T: Transport> RemoteRuntime<T> {
     /// The compute capability the server announced (after `initialize`).
     pub fn server_compute_capability(&self) -> Option<(u32, u32)> {
         self.server_cc
-    }
-
-    /// The recorded session trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Take ownership of the trace (e.g. to persist it).
-    pub fn into_trace(self) -> Trace {
-        self.trace
     }
 
     /// The underlying transport — e.g. to inspect a
@@ -592,7 +579,8 @@ impl<T: Transport> RemoteRuntime<T> {
             .map_err(|e| transport_error(&e))
     }
 
-    /// Write `batch` as one message, read the combined response, trace it.
+    /// Write `batch` as one message, read the combined response, report its
+    /// span.
     /// Faults replay (under the policy) only if *every* element is
     /// idempotent.
     fn send_batch(&mut self, batch: &Batch) -> CudaResult<BatchResponse> {
@@ -619,21 +607,13 @@ impl<T: Transport> RemoteRuntime<T> {
             self.journal_observe(req, elem);
         }
         let end = self.clock.now();
-        let event = CallEvent {
-            op,
-            sent,
-            received: resp.wire_bytes(),
-            start,
-            end,
-        };
-        self.trace.record(event);
         self.calls += 1;
         self.batched_calls += batch.len() as u64;
         self.retries_total += attempt as u64;
         self.obs.emit_call(&CallSpan {
             op,
-            bytes_sent: event.sent,
-            bytes_received: event.received,
+            bytes_sent: sent,
+            bytes_received: resp.wire_bytes(),
             start,
             end,
             retries: attempt,
@@ -655,7 +635,7 @@ impl<T: Transport> RemoteRuntime<T> {
         Response::read_codec(&mut self.transport, req, None, codec).map_err(|e| transport_error(&e))
     }
 
-    /// One result-bearing exchange, traced. If deferred calls are pending,
+    /// One result-bearing exchange, with its span. If deferred calls are pending,
     /// `req` rides as the final element of the draining batch, so the whole
     /// window plus this call still costs a single round trip.
     ///
@@ -695,13 +675,6 @@ impl<T: Transport> RemoteRuntime<T> {
         self.journal_observe(&req, &resp);
         let end = self.clock.now();
         let received = resp.wire_bytes();
-        self.trace.record(CallEvent {
-            op: Op::Named(op),
-            sent,
-            received,
-            start,
-            end,
-        });
         self.calls += 1;
         self.retries_total += attempt as u64;
         self.obs.emit_call(&CallSpan {
@@ -757,7 +730,7 @@ impl<T: Transport> RemoteRuntime<T> {
 
     /// A complete borrowed-payload call: the caller's slices cross the wire
     /// (and the reply lands) without staging copies or allocation, with the
-    /// same retry, deadline, trace, and observer treatment as [`call`]. Only
+    /// same retry, deadline and observer treatment as [`call`]. Only
     /// used for idempotent memcpy exchanges, so transport faults always
     /// replay under the configured policy.
     ///
@@ -800,13 +773,6 @@ impl<T: Transport> RemoteRuntime<T> {
                 codec.observe_link(sent + received, started.elapsed().as_nanos() as u64);
             }
         }
-        self.trace.record(CallEvent {
-            op: Op::Named(op),
-            sent,
-            received,
-            start,
-            end,
-        });
         self.calls += 1;
         self.retries_total += attempt as u64;
         self.obs.emit_call(&CallSpan {
@@ -909,7 +875,7 @@ fn memcpy_async_head(dst: u32, src: u32, size: u32, kind: MemcpyKind, stream: u3
 
 impl<T: Transport> RemoteRuntime<T> {
     /// One full initialization exchange: CC push, module upload (resumable
-    /// hello when retries are on), acknowledgement. Returns the traced byte
+    /// hello when retries are on), acknowledgement. Returns the span's byte
     /// counts.
     fn try_initialize(&mut self, module: &[u8], started: Instant) -> CudaResult<(u64, u64)> {
         self.arm_deadline(started)?;
@@ -994,13 +960,6 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
             }
         };
         let end = self.clock.now();
-        self.trace.record(CallEvent {
-            op: Op::Named("initialization"),
-            sent,
-            received,
-            start,
-            end,
-        });
         self.calls += 1;
         self.retries_total += attempt as u64;
         self.obs.emit_call(&CallSpan {
@@ -1269,9 +1228,11 @@ mod tests {
     use super::*;
     use rcuda_core::error::result_code;
     use rcuda_core::time::wall_clock;
+    use rcuda_obs::Recorder;
     use rcuda_proto::wire::{get_u32, put_bytes, put_u32};
     use rcuda_transport::{channel_pair, ChannelTransport};
     use std::io::Write;
+    use std::sync::Arc;
     use std::thread;
 
     /// One scripted exchange of the fake server.
@@ -1299,6 +1260,14 @@ mod tests {
         })
     }
 
+    /// A runtime whose calls are recorded, for the byte-count checks.
+    fn recorded(side: ChannelTransport) -> (RemoteRuntime<ChannelTransport>, Arc<Recorder>) {
+        let rec = Recorder::new();
+        let mut rt = RemoteRuntime::new(side, wall_clock());
+        rt.set_observer(rec.handle());
+        (rt, rec)
+    }
+
     fn ack(req: &Request, side: &mut ChannelTransport) {
         let _ = req;
         put_u32(side, result_code(&Ok(()))).unwrap();
@@ -1309,27 +1278,27 @@ mod tests {
     fn initialize_reads_cc_then_ships_module() {
         let (client_side, server_side) = channel_pair();
         let h = fake_server(server_side, vec![]);
-        let mut rt = RemoteRuntime::new(client_side, wall_clock());
+        let (mut rt, rec) = recorded(client_side);
         rt.initialize(&[1, 2, 3]).unwrap();
         assert_eq!(rt.server_compute_capability(), Some((1, 3)));
-        // Trace: one initialization event with Table I byte counts.
-        let ev = &rt.trace().events[0];
+        // One initialization span with Table I byte counts.
+        let ev = rec.report().spans[0];
         assert_eq!(ev.op, "initialization");
-        assert_eq!(ev.sent, 3 + 4); // x + 4
-        assert_eq!(ev.received, 12); // 8 + 4
+        assert_eq!(ev.bytes_sent, 3 + 4); // x + 4
+        assert_eq!(ev.bytes_received, 12); // 8 + 4
         h.join().unwrap();
     }
 
     #[test]
     fn calls_before_initialize_are_rejected_locally() {
         let (client_side, _server_side) = channel_pair();
-        let mut rt = RemoteRuntime::new(client_side, wall_clock());
+        let (mut rt, rec) = recorded(client_side);
         assert_eq!(rt.malloc(4), Err(CudaError::InitializationError));
         assert_eq!(
             rt.memcpy_h2d(DevicePtr::new(1), &[0]),
             Err(CudaError::InitializationError)
         );
-        assert!(rt.trace().events.is_empty(), "nothing crossed the wire");
+        assert!(rec.report().spans.is_empty(), "nothing crossed the wire");
     }
 
     #[test]
@@ -1344,12 +1313,12 @@ mod tests {
                 side.flush().unwrap();
             })],
         );
-        let mut rt = RemoteRuntime::new(client_side, wall_clock());
+        let (mut rt, rec) = recorded(client_side);
         rt.initialize(&[]).unwrap();
         let ptr = rt.malloc(4096).unwrap();
         assert_eq!(ptr, DevicePtr::new(0x2000));
-        let ev = rt.trace().events.last().unwrap();
-        assert_eq!((ev.sent, ev.received), (8, 8)); // Table I cudaMalloc row
+        let ev = *rec.report().spans.last().unwrap();
+        assert_eq!((ev.bytes_sent, ev.bytes_received), (8, 8)); // Table I cudaMalloc row
         h.join().unwrap();
     }
 
@@ -1400,16 +1369,16 @@ mod tests {
                 }),
             ],
         );
-        let mut rt = RemoteRuntime::new(client_side, wall_clock());
+        let (mut rt, rec) = recorded(client_side);
         rt.initialize(&[]).unwrap();
         rt.memcpy_h2d(DevicePtr::new(0x10), &[0u8; 1000]).unwrap();
         let back = rt.memcpy_d2h(DevicePtr::new(0x10), 500).unwrap();
         assert_eq!(back, vec![7u8; 500]);
-        let t = rt.trace();
-        let h2d = &t.events[1];
-        assert_eq!((h2d.sent, h2d.received), (1020, 4)); // x+20 / 4
-        let d2h = &t.events[2];
-        assert_eq!((d2h.sent, d2h.received), (20, 504)); // 20 / x+4
+        let t = rec.report();
+        let h2d = &t.spans[1];
+        assert_eq!((h2d.bytes_sent, h2d.bytes_received), (1020, 4)); // x+20 / 4
+        let d2h = &t.spans[2];
+        assert_eq!((d2h.bytes_sent, d2h.bytes_received), (20, 504)); // 20 / x+4
         assert_eq!(t.bulk_payload(), 1500);
         h.join().unwrap();
     }
@@ -1472,7 +1441,7 @@ mod tests {
         let (client_side, server_side) = channel_pair();
         // Expect: init exchange handled separately; then ONE batch frame.
         let h = fake_batch_server(server_side, 1);
-        let mut rt = RemoteRuntime::new(client_side, wall_clock());
+        let (mut rt, rec) = recorded(client_side);
         rt.initialize(&[]).unwrap();
         rt.set_pipeline_depth(3).unwrap();
         rt.memcpy_h2d(DevicePtr::new(0x10), &[1, 2, 3, 4]).unwrap();
@@ -1483,8 +1452,8 @@ mod tests {
         assert_eq!(rt.pending_calls(), 0);
         let sizes = h.join().unwrap();
         assert_eq!(sizes, vec![3], "three calls crossed as one frame");
-        // Trace shows one batch event covering all three calls.
-        let ev = rt.trace().events.last().unwrap();
+        // One batch span covers all three calls.
+        let ev = *rec.report().spans.last().unwrap();
         assert_eq!(ev.op, "batch[3]");
     }
 
@@ -1623,7 +1592,7 @@ mod tests {
             side.flush().unwrap();
             hello
         });
-        let mut rt = RemoteRuntime::new(client_side, wall_clock());
+        let (mut rt, rec) = recorded(client_side);
         assert_eq!(rt.session_token(), None);
         rt.set_retry_policy(crate::retry::RetryPolicy::retries(2));
         rt.initialize(&[9, 9]).unwrap();
@@ -1636,9 +1605,9 @@ mod tests {
         }
         // Received bytes keep Table I's 12; sent grows by exactly the
         // 12-byte hello overhead (selector + token).
-        let ev = &rt.trace().events[0];
-        assert_eq!(ev.received, 12);
-        assert_eq!(ev.sent, 12 + 4 + 2);
+        let ev = rec.report().spans[0];
+        assert_eq!(ev.bytes_received, 12);
+        assert_eq!(ev.bytes_sent, 12 + 4 + 2);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! server pre-writes the measured window's acknowledgements in one burst
 //! and then sits blocked in `read`, so the only thread doing work during
 //! the window is the client's — and its 8 synchronous calls must leave the
-//! allocation counter untouched. (The trace buffer is pre-grown by the
-//! warmup calls; `Op` labels, span payloads, and the disarmed `ObsHandle`
-//! are all `Copy`.)
+//! allocation counter untouched. (`Op` labels, span payloads, and the
+//! disarmed `ObsHandle` are all `Copy`.)
 
 use rcuda_api::CudaRuntime;
 use rcuda_client::RemoteRuntime;
@@ -49,7 +48,7 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
-/// Warmup calls: enough to grow the trace buffer past the measured window.
+/// Warmup calls: enough to grow the transport buffers to capacity.
 const WARMUP: usize = 32;
 /// Calls inside the counted window.
 const MEASURED: usize = 8;

@@ -58,6 +58,19 @@ impl CallSpan {
     pub fn duration(&self) -> SimTime {
         self.end.saturating_sub(self.start)
     }
+
+    /// Application payload moved by this call, if it is a bulk memcpy
+    /// (header bytes excluded): `x` of Table I.
+    pub fn bulk_payload(&self) -> u64 {
+        match self.op.as_named() {
+            // Request carries 20 header bytes + payload.
+            Some("cudaMemcpyH2D" | "cudaMemcpyAsyncH2D") => self.bytes_sent.saturating_sub(20),
+            // Response carries 4 status bytes + payload (async adds a
+            // stream field to the request, not the response).
+            Some("cudaMemcpyD2H" | "cudaMemcpyAsyncD2H") => self.bytes_received.saturating_sub(4),
+            _ => 0,
+        }
+    }
 }
 
 /// One request dispatched on the server worker: GPU service time plus the

@@ -351,6 +351,12 @@ impl Report {
             .fold((0, 0), |(s, r), e| (s + e.bytes_sent, r + e.bytes_received))
     }
 
+    /// Total bulk memcpy payload across all client spans (the quantity
+    /// Tables III/V price; see [`CallSpan::bulk_payload`]).
+    pub fn bulk_payload(&self) -> u64 {
+        self.spans.iter().map(CallSpan::bulk_payload).sum()
+    }
+
     /// Time from first span start to last span end.
     pub fn span(&self) -> SimTime {
         match (self.spans.first(), self.spans.last()) {
@@ -401,6 +407,18 @@ mod tests {
         assert_eq!(malloc.network_time(), SimTime::from_nanos(120));
         assert_eq!(report.totals(), (8 + 1044 + 8, 8 + 4 + 8));
         assert_eq!(report.span(), SimTime::from_nanos(550));
+    }
+
+    #[test]
+    fn bulk_payload_counts_only_memcpy_payloads() {
+        let rec = Recorder::new();
+        let h = rec.handle();
+        h.emit_call(&span(Op::Named("cudaMalloc"), 8, 8, 0, 1));
+        h.emit_call(&span(Op::Named("cudaMemcpyH2D"), 1024 + 20, 4, 1, 2));
+        h.emit_call(&span(Op::Named("cudaMemcpyD2H"), 20, 2048 + 4, 2, 3));
+        h.emit_call(&span(Op::Named("cudaLaunch"), 52, 4, 3, 4));
+        assert_eq!(rec.report().bulk_payload(), 1024 + 2048);
+        assert_eq!(Report::default().bulk_payload(), 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rcuda_obs::ObsHandle;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use crate::broker_agent::{BrokerAgent, BrokerAgentConfig};
@@ -228,6 +228,8 @@ impl DaemonBuilder {
             live_tokens: Mutex::new(std::collections::HashSet::new()),
             draining: AtomicBool::new(false),
             settled: Settled::default(),
+            wakeups: OnceLock::new(),
+            trunks: Mutex::new(Vec::new()),
         });
         let mut daemon = RcudaDaemon::start(
             addr,

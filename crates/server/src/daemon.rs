@@ -133,6 +133,7 @@ pub(crate) fn migrate_out_shared(
                 ));
             }
             let rx = shared.migrations.arm(session);
+            shared.wake_shards();
             match rx.recv_timeout(MIGRATE_QUIESCE_TIMEOUT) {
                 Ok(ctx) => ctx,
                 Err(_) => {
@@ -243,7 +244,7 @@ impl RcudaDaemon {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let reactor = Arc::new(Reactor::start(shards, &shared));
+        let reactor = Arc::new(Reactor::start(shards, &shared)?);
         shared.links.install(&reactor, &pool);
 
         let accept_stop = Arc::clone(&stop);
@@ -421,10 +422,12 @@ impl RcudaDaemon {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.stop_accepting();
         self.shared.drain.begin();
+        self.shared.wake_shards();
 
         let idle = |shared: &Shared| shared.counters.live.load(Ordering::SeqCst) == 0;
         if !self.shared.wait_until(Some(deadline), idle) {
             self.shared.drain.force();
+            self.shared.wake_shards();
             self.shared.wait_until(None, idle);
         }
         let (graceful, forced) = self.shared.drain.end();
@@ -516,7 +519,7 @@ impl Drop for RcudaDaemon {
         }
         // Halt the shards: live connections are force-finalized (their
         // clients see a disconnect) and the threads exit.
-        self.shared.halt.store(true, Ordering::SeqCst);
+        self.shared.begin_halt();
         self.reactor.join();
     }
 }

@@ -26,6 +26,7 @@ pub mod builder;
 pub mod daemon;
 pub mod dispatch;
 pub mod mux_host;
+pub(crate) mod poller;
 pub mod pool;
 pub(crate) mod reactor;
 pub mod registry;

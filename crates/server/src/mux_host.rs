@@ -33,23 +33,18 @@ use rcuda_proto::mux::{
 };
 use rcuda_proto::secure::{auth_proof, ct_eq, derive_key, random_nonce, CipherSuiteKind};
 use rcuda_proto::{BufferPool, ClientHello, StreamDecoder};
-use rcuda_transport::{MuxConfig, MuxPeer, MuxStream, ReadHalf, Transport};
+use rcuda_transport::{MuxCloser, MuxConfig, MuxPeer, MuxStream, ReadHalf, Transport};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::daemon::admit;
 use crate::pool::GpuPool;
 use crate::reactor::{NewConn, Reactor, Shared};
 use crate::registry::SessionRegistry;
 use crate::worker::{serve_connection_with_registry, ServerConfig, SessionReport, READ_CHUNK};
-
-/// How often a parked trunk host re-checks its exit conditions (trunk
-/// death, daemon halt).
-const TRUNK_POLL: Duration = Duration::from_millis(5);
 
 /// Late-bound links from [`Shared`] back to the reactor and GPU pool, so a
 /// trunk's stream-acceptance callback can admit sub-streams. Installed by
@@ -207,10 +202,17 @@ fn host_reactor_trunk(
         });
     }
     // Park holding the peer (dropping it would GOAWAY the trunk) until the
-    // client leaves or the daemon halts.
-    while !peer.is_dead() && !shared.halt.load(Ordering::SeqCst) {
-        std::thread::sleep(TRUNK_POLL);
+    // client leaves or the daemon halts: [`Shared::begin_halt`] raises
+    // `halt`, then closes every trunk registered under this lock.
+    {
+        let mut trunks = shared.trunks.lock();
+        if shared.halt.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        trunks.retain(MuxCloser::is_open);
+        trunks.push(peer.closer());
     }
+    peer.wait_dead();
     Ok(())
 }
 
@@ -317,9 +319,7 @@ pub fn serve_mux_trunk<T: Transport + 'static>(
         return Ok(Vec::new());
     };
 
-    while !peer.is_dead() {
-        std::thread::sleep(TRUNK_POLL);
-    }
+    peer.wait_dead();
     drop(peer);
 
     let handles = std::mem::take(&mut *workers.lock());

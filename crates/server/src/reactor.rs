@@ -11,6 +11,13 @@
 //!   `rcuda-shard-<i>` running a readiness loop over its share of the
 //!   connections. Connections are handed to shards round-robin at admission
 //!   through a per-shard injector queue and never migrate.
+//! * **A readiness wait** — each shard blocks in its own
+//!   [`Poller`](crate::poller) (epoll plus an eventfd waker) until a
+//!   socket is ready, a fd-less transport or a daemon control event wakes
+//!   it, or the earliest resume deadline passes, and then pumps only the
+//!   connections that are ready. A connection whose pump stopped on a
+//!   budget with work left is pumped again without waiting; an idle shard
+//!   costs no CPU.
 //! * **Nonblocking transports** — each connection's transport is switched
 //!   with [`Transport::set_nonblocking`]; all I/O goes through
 //!   [`Transport::try_read`] / [`Transport::try_write`], so a stalled peer
@@ -31,7 +38,7 @@
 //! `tests/driver_equivalence.rs` checks that both drivers answer the same
 //! client byte streams with the same bytes and reports.
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rcuda_core::time::wall_clock;
 use rcuda_core::Clock as _;
@@ -39,15 +46,17 @@ use rcuda_gpu::{GpuContext, GpuDevice};
 use rcuda_obs::ShardSpan;
 use rcuda_proto::mux::MuxHello;
 use rcuda_proto::{BufferPool, StreamDecoder};
-use rcuda_transport::{Progress, Transport};
+use rcuda_transport::{MuxCloser, Progress, Transport};
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, OnceLock};
+use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::poller::{ConnWaker, Interest, Poller, Wakeup};
 use crate::pool::PoolGuard;
 use crate::registry::ShardedRegistry;
 use crate::session::{SessionCore, Step, RESUME_WAIT};
@@ -61,10 +70,14 @@ const READ_CHUNK_MIN: usize = 2 * 1024;
 /// actually move bulk payloads.
 const READ_CHUNK_MAX: usize = 256 * 1024;
 /// Frames dispatched per connection per pass before yielding to shard
-/// neighbors (leftover frames stay buffered and the pass is re-run hot).
+/// neighbors (leftover frames stay buffered and the connection is pumped
+/// again without waiting).
 const FRAMES_PER_PASS: u32 = 64;
-/// Longest idle-shard sleep. Bounds resume-poll and drain-notice latency.
-const IDLE_SLEEP_MAX_US: u64 = 2_000;
+/// Bytes read per connection per pass, for the same fairness.
+const READ_BUDGET: usize = 4 * READ_CHUNK_MAX;
+/// Quiet time after the last bulk connection ended before its shard
+/// returns freed memory to the OS.
+const TRIM_DELAY: Duration = Duration::from_secs(1);
 
 /// Atomic daemon counters, shared between the accept loop, the reactor
 /// shards, and `DaemonHealth` snapshots.
@@ -142,16 +155,25 @@ impl DrainState {
 pub(crate) struct MigrationTable {
     orders: Mutex<HashMap<u64, Sender<GpuContext>>>,
     armed: AtomicBool,
+    /// Orders ever armed: a shard that sees this change visits its idle
+    /// running sessions once, so an order never waits for client traffic.
+    armed_total: AtomicU64,
 }
 
 impl MigrationTable {
     /// Arm an order for `session`; the context arrives on the returned
-    /// channel once its connection reaches a frame boundary.
+    /// channel once its connection reaches a frame boundary. The caller
+    /// wakes the shards ([`Shared::wake_shards`]).
     pub(crate) fn arm(&self, session: u64) -> Receiver<GpuContext> {
         let (tx, rx) = unbounded();
         self.orders.lock().insert(session, tx);
         self.armed.store(true, Ordering::SeqCst);
+        self.armed_total.fetch_add(1, Ordering::SeqCst);
         rx
+    }
+
+    fn generation(&self) -> u64 {
+        self.armed_total.load(Ordering::SeqCst)
     }
 
     /// Withdraw an order that never completed (quiesce timeout). The shard
@@ -204,6 +226,11 @@ pub(crate) struct Shared {
     pub(crate) draining: AtomicBool,
     /// Signalled whenever a connection gives its admission slot back.
     pub(crate) settled: Settled,
+    /// Every shard's waker, installed when the reactor starts.
+    pub(crate) wakeups: OnceLock<Vec<Arc<Wakeup>>>,
+    /// Reactor-path mux trunks, closed at daemon halt (dead ones are pruned
+    /// as new trunks open).
+    pub(crate) trunks: Mutex<Vec<MuxCloser>>,
 }
 
 /// Wakes daemon threads waiting for sessions to end
@@ -215,6 +242,36 @@ pub(crate) struct Settled {
 }
 
 impl Shared {
+    /// Record the shards' wakers and have every park wake them: a
+    /// `Reconnect` waiting on any shard re-checks the registry at once.
+    fn install_wakeups(&self, wakeups: Vec<Arc<Wakeup>>) {
+        let on_park = wakeups.clone();
+        self.registry.on_park(Box::new(move || {
+            for w in &on_park {
+                w.signal();
+            }
+        }));
+        let _ = self.wakeups.set(wakeups);
+    }
+
+    /// Wake every shard to re-read the daemon's control state (drain mode,
+    /// halt, migration orders).
+    pub(crate) fn wake_shards(&self) {
+        for w in self.wakeups.get().into_iter().flatten() {
+            w.signal();
+        }
+    }
+
+    /// Halt the daemon: shards force-close their connections and exit,
+    /// reactor-path trunk hosts stop.
+    pub(crate) fn begin_halt(&self) {
+        self.halt.store(true, Ordering::SeqCst);
+        self.wake_shards();
+        for trunk in self.trunks.lock().drain(..) {
+            trunk.close();
+        }
+    }
+
     /// The single session-finalize path: record the report of a session
     /// whose handshake completed, then give the admission slot back.
     pub(crate) fn end_session(&self, report: Option<SessionReport>) {
@@ -285,40 +342,51 @@ pub(crate) struct NewConn {
 struct ShardHandle {
     tx: Sender<NewConn>,
     queued: Arc<AtomicU32>,
+    wakeup: Arc<Wakeup>,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// The running shard pool. Dropping the reactor does not stop the shards —
-/// set `Shared::halt` first, then call [`Reactor::join`].
+/// call [`Shared::begin_halt`] first, then [`Reactor::join`].
 pub(crate) struct Reactor {
     shards: Vec<ShardHandle>,
     next: AtomicUsize,
 }
 
 impl Reactor {
-    /// Spawn `n` shard threads (at least one) over `shared`.
-    pub(crate) fn start(n: usize, shared: &Arc<Shared>) -> Reactor {
-        let shards = (0..n.max(1) as u32)
-            .map(|id| {
+    /// Spawn `n` shard threads (at least one) over `shared`, each blocking
+    /// in its own [`Poller`].
+    pub(crate) fn start(n: usize, shared: &Arc<Shared>) -> io::Result<Reactor> {
+        let pollers = (0..n.max(1))
+            .map(|_| Poller::new())
+            .collect::<io::Result<Vec<_>>>()?;
+        let wakeups: Vec<Arc<Wakeup>> = pollers.iter().map(|p| Arc::clone(p.wakeup())).collect();
+        shared.install_wakeups(wakeups);
+        let shards = pollers
+            .into_iter()
+            .enumerate()
+            .map(|(id, poller)| {
                 let (tx, rx) = unbounded::<NewConn>();
                 let queued = Arc::new(AtomicU32::new(0));
+                let wakeup = Arc::clone(poller.wakeup());
                 let shard_queued = Arc::clone(&queued);
                 let shard_shared = Arc::clone(shared);
                 let thread = std::thread::Builder::new()
                     .name(format!("rcuda-shard-{id}"))
-                    .spawn(move || shard_loop(id, rx, shard_queued, shard_shared))
+                    .spawn(move || shard_loop(id as u32, rx, shard_queued, shard_shared, poller))
                     .expect("spawn reactor shard");
                 ShardHandle {
                     tx,
                     queued,
+                    wakeup,
                     thread: Mutex::new(Some(thread)),
                 }
             })
             .collect();
-        Reactor {
+        Ok(Reactor {
             shards,
             next: AtomicUsize::new(0),
-        }
+        })
     }
 
     pub(crate) fn shard_count(&self) -> usize {
@@ -327,17 +395,19 @@ impl Reactor {
 
     /// Hand an admitted connection to the next shard (round-robin).
     pub(crate) fn submit(&self, conn: NewConn) {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[i].queued.fetch_add(1, Ordering::SeqCst);
-        if self.shards[i].tx.send(conn).is_err() {
+        let shard = &self.shards[self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
+        shard.queued.fetch_add(1, Ordering::SeqCst);
+        if shard.tx.send(conn).is_err() {
             // Shard already halted (daemon dropping): nothing to serve the
             // connection with; the NewConn drop closes it.
-            self.shards[i].queued.fetch_sub(1, Ordering::SeqCst);
+            shard.queued.fetch_sub(1, Ordering::SeqCst);
+            return;
         }
+        shard.wakeup.signal();
     }
 
-    /// Join every shard thread. Callers must set `Shared::halt` first or
-    /// this blocks forever.
+    /// Join every shard thread. Callers must call [`Shared::begin_halt`]
+    /// first or this blocks forever.
     pub(crate) fn join(&self) {
         for shard in &self.shards {
             if let Some(t) = shard.thread.lock().take() {
@@ -349,12 +419,78 @@ impl Reactor {
 
 // --------------------------------------------------------------- the shard
 
-fn shard_loop(id: u32, rx: Receiver<NewConn>, queued: Arc<AtomicU32>, shared: Arc<Shared>) {
+/// The shard's connections, addressed by `generation << 32 | slot` keys: a
+/// key that outlives its connection (a late wake, a stale ready event)
+/// fails the generation check instead of reaching the slot's next tenant.
+#[derive(Default)]
+struct Slab {
+    slots: Vec<(u32, Option<Conn>)>,
+    free: Vec<u32>,
+    len: usize,
+}
+
+impl Slab {
+    fn insert_with(&mut self, make: impl FnOnce(u64) -> Conn) -> u64 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push((0, None));
+            (self.slots.len() - 1) as u32
+        });
+        let entry = &mut self.slots[slot as usize];
+        let key = u64::from(entry.0) << 32 | u64::from(slot);
+        entry.1 = Some(make(key));
+        self.len += 1;
+        key
+    }
+
+    fn get_mut(&mut self, key: u64) -> Option<&mut Conn> {
+        match self.slots.get_mut(key as u32 as usize) {
+            Some((generation, conn)) if u64::from(*generation) == key >> 32 => conn.as_mut(),
+            _ => None,
+        }
+    }
+
+    fn remove(&mut self, key: u64) -> Conn {
+        let slot = key as u32;
+        let entry = &mut self.slots[slot as usize];
+        entry.0 = entry.0.wrapping_add(1);
+        self.free.push(slot);
+        self.len -= 1;
+        entry.1.take().expect("removing a live connection")
+    }
+
+    /// Keys of every connection `pick` selects.
+    fn keys_where(&self, pick: impl Fn(&Conn) -> bool, out: &mut Vec<u64>) {
+        for (slot, (generation, conn)) in self.slots.iter().enumerate() {
+            if conn.as_ref().is_some_and(&pick) {
+                out.push(u64::from(*generation) << 32 | slot as u64);
+            }
+        }
+    }
+}
+
+fn shard_loop(
+    id: u32,
+    rx: Receiver<NewConn>,
+    queued: Arc<AtomicU32>,
+    shared: Arc<Shared>,
+    mut poller: Poller,
+) {
     let pool = BufferPool::new();
     let clock = wall_clock();
     let obs = shared.config.observer.clone();
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut idle_passes: u32 = 0;
+    let mut conns = Slab::default();
+    // Connections to pump this pass.
+    let mut ready: Vec<u64> = Vec::new();
+    // Pumped again without waiting: their last pump stopped on a budget
+    // with work left.
+    let mut hot: Vec<u64> = Vec::new();
+    // A `Reconnect` waiting for its session to be parked: pumped on every
+    // wake (a park signals all shards) and at the earliest deadline.
+    let mut resuming: Vec<u64> = Vec::new();
+    let mut migration_orders = shared.migrations.generation();
+    // When to hand memory freed by finished bulk connections back to the
+    // OS (see [`release_freed_memory`]).
+    let mut trim_at: Option<Instant> = None;
 
     loop {
         let halting = shared.halt.load(Ordering::SeqCst);
@@ -364,44 +500,65 @@ fn shard_loop(id: u32, rx: Receiver<NewConn>, queued: Arc<AtomicU32>, shared: Ar
 
         // Register freshly admitted connections.
         let mut admitted: u32 = 0;
-        loop {
-            match rx.try_recv() {
-                Ok(new) => {
-                    queued.fetch_sub(1, Ordering::SeqCst);
-                    conns.push(Conn::register(new, &pool, &shared));
-                    admitted += 1;
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break,
-            }
+        while let Ok(new) = rx.try_recv() {
+            queued.fetch_sub(1, Ordering::SeqCst);
+            ready.push(
+                conns.insert_with(|key| Conn::register(new, key, &pool, &shared, &mut poller)),
+            );
+            admitted += 1;
         }
+        if forcing {
+            conns.keys_where(|_| true, &mut ready);
+        } else if shared.migrations.generation() != migration_orders {
+            // A new order: idle running sessions must reach the quiesce
+            // point without waiting for their clients.
+            migration_orders = shared.migrations.generation();
+            conns.keys_where(|c| c.live_token.is_some(), &mut ready);
+        }
+        ready.append(&mut resuming);
+        ready.append(&mut hot);
+        ready.sort_unstable();
+        ready.dedup();
 
-        // One readiness pass over every connection.
         let mut frames: u32 = 0;
-        let mut moved = admitted > 0;
-        let mut i = 0;
-        while i < conns.len() {
-            let conn = &mut conns[i];
+        for key in ready.drain(..) {
+            let Some(conn) = conns.get_mut(key) else {
+                continue;
+            };
+            if let Some(waker) = &conn.waker {
+                waker.rearm();
+            }
             if forcing {
                 conn.force_close();
             }
             let act = conn.pump(&shared);
             frames += act.frames;
-            moved |= act.progress;
             if conn.done {
-                let mut conn = conns.swap_remove(i);
+                let mut conn = conns.remove(key);
+                if let Some(raw) = &conn.raw {
+                    poller.deregister(raw, key);
+                }
+                if conn.read_chunk == READ_CHUNK_MAX || conn.out.capacity() >= READ_CHUNK_MAX {
+                    trim_at = Some(Instant::now() + TRIM_DELAY);
+                }
                 if let Some(hello) = conn.upgrade.take() {
                     conn.upgrade_to_mux(hello, &shared);
                 }
-            } else {
-                i += 1;
+                continue;
             }
+            if act.hot {
+                hot.push(key);
+            }
+            if conn.resume_deadline.is_some() {
+                resuming.push(key);
+            }
+            conn.update_interest(&mut poller, key);
         }
 
         if frames > 0 || admitted > 0 {
             obs.emit_shard(&ShardSpan {
                 shard: id,
-                sessions: conns.len() as u32,
+                sessions: conns.len as u32,
                 queue_depth: depth,
                 frames,
                 start: started,
@@ -409,36 +566,70 @@ fn shard_loop(id: u32, rx: Receiver<NewConn>, queued: Arc<AtomicU32>, shared: Ar
             });
         }
 
-        if halting && conns.is_empty() && queued.load(Ordering::SeqCst) == 0 {
+        if halting && conns.len == 0 && queued.load(Ordering::SeqCst) == 0 {
             break;
         }
 
-        // Adaptive idle backoff: spin briefly for latency, then sleep with
-        // a bounded ceiling so resume polls and drain flags stay fresh.
-        if moved {
-            idle_passes = 0;
+        let timeout = if !hot.is_empty() || queued.load(Ordering::SeqCst) > 0 {
+            Some(Duration::ZERO)
         } else {
-            idle_passes = idle_passes.saturating_add(1);
-            if idle_passes < 8 {
-                std::thread::yield_now();
-            } else {
-                let us = (u64::from(idle_passes) * 50).min(IDLE_SLEEP_MAX_US);
-                std::thread::sleep(Duration::from_micros(us));
-            }
+            resuming
+                .iter()
+                .filter_map(|&key| conns.get_mut(key).and_then(|c| c.resume_deadline))
+                .chain(trim_at)
+                .min()
+                .map(|deadline| deadline.saturating_duration_since(Instant::now()))
+        };
+        poller
+            .wait(timeout, &mut ready)
+            .expect("waiting on the shard's own poller");
+        if trim_at.is_some_and(|at| Instant::now() >= at) {
+            trim_at = None;
+            release_freed_memory();
         }
     }
 }
+
+/// Hand memory freed by finished bulk connections back to the OS. glibc
+/// keeps freed heap memory mapped, and after the first large buffer it
+/// frees it serves buffers up to that size from the heap too, so a daemon
+/// would otherwise stay at the footprint of its largest past transfer.
+/// `malloc_trim` is process-wide; a shard runs it [`TRIM_DELAY`] after the
+/// last connection that moved bulk data (256 KiB reads or replies) ended,
+/// so back-to-back bulk sessions reuse each other's memory instead of
+/// faulting it in again.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_freed_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+    }
+    // SAFETY: `malloc_trim` only returns free heap pages to the kernel,
+    // under the allocator's own locks; no live allocation is touched.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_freed_memory() {}
 
 // ---------------------------------------------------------- the connection
 
 struct PumpResult {
     frames: u32,
-    progress: bool,
+    /// The pump stopped on a budget (frames or read bytes) with work left:
+    /// pump again without waiting for a wake.
+    hot: bool,
 }
 
 struct Conn {
     transport: Box<dyn Transport>,
     raw: Option<TcpStream>,
+    /// Fd-less transports' waker (see [`crate::poller`]); TCP connections
+    /// are woken through their registered socket instead.
+    waker: Option<Arc<ConnWaker>>,
+    /// What the registered socket currently waits for.
+    interest: Option<Interest>,
     decoder: StreamDecoder,
     /// Outbound bytes not yet accepted by the transport.
     out: Vec<u8>,
@@ -453,8 +644,9 @@ struct Conn {
     /// The session; taken by finalize (or dropped by a mux upgrade).
     core: Option<SessionCore>,
     /// A `Reconnect` arrived before the dying connection parked the
-    /// session: the registry is polled until this deadline (the
-    /// nonblocking form of `SessionRegistry::take_deadline`).
+    /// session: the registry is checked again on every shard wake until
+    /// this deadline (the nonblocking form of
+    /// `SessionRegistry::take_deadline`).
     resume_deadline: Option<Instant>,
     /// The resumable session token advertised in `Shared::live_tokens`.
     live_token: Option<u64>,
@@ -470,7 +662,13 @@ struct Conn {
 }
 
 impl Conn {
-    fn register(new: NewConn, pool: &BufferPool, shared: &Shared) -> Conn {
+    fn register(
+        new: NewConn,
+        key: u64,
+        pool: &BufferPool,
+        shared: &Shared,
+        poller: &mut Poller,
+    ) -> Conn {
         let NewConn {
             transport,
             raw,
@@ -490,6 +688,8 @@ impl Conn {
         let mut conn = Conn {
             transport,
             raw,
+            waker: None,
+            interest: None,
             decoder: StreamDecoder::new(),
             out,
             out_pos: 0,
@@ -505,13 +705,57 @@ impl Conn {
             done: false,
             guard: Some(guard),
         };
-        // A transport without a nonblocking half cannot be multiplexed;
-        // close it immediately (register still returns a Conn so the
-        // daemon counters balance through the normal finalize path).
-        if conn.transport.set_nonblocking(true).is_err() {
+        // A transport the shard cannot drive nonblocking or wait on is
+        // closed immediately (register still returns a Conn so the daemon
+        // counters balance through the normal finalize path).
+        let waitable = conn
+            .transport
+            .set_nonblocking(true)
+            .and_then(|()| match &conn.raw {
+                Some(raw) => {
+                    let interest = conn.wanted();
+                    poller.register(raw, key, interest)?;
+                    conn.interest = Some(interest);
+                    Ok(())
+                }
+                None => {
+                    let waker = ConnWaker::new(poller.wakeup(), key);
+                    conn.transport.set_waker(Waker::from(Arc::clone(&waker)))?;
+                    conn.waker = Some(waker);
+                    Ok(())
+                }
+            });
+        if waitable.is_err() {
             conn.abort();
         }
         conn
+    }
+
+    /// The readiness a registered socket should wait for: readable until
+    /// EOF or close, writable only while output is pending.
+    fn wanted(&self) -> Interest {
+        Interest {
+            read: !self.eof && !self.closing,
+            write: self.out_pos < self.out.len(),
+        }
+    }
+
+    /// Re-register the socket if its wanted readiness changed.
+    fn update_interest(&mut self, poller: &mut Poller, key: u64) {
+        let (Some(raw), Some(current)) = (&self.raw, self.interest) else {
+            return;
+        };
+        let wanted = self.wanted();
+        if wanted != current {
+            if poller.reregister(raw, key, wanted).is_err() {
+                // The socket can no longer be waited on: end the
+                // connection on the next pass.
+                self.force_close();
+                self.interest = None;
+                return;
+            }
+            self.interest = Some(wanted);
+        }
     }
 
     fn eligible(&self) -> bool {
@@ -550,22 +794,16 @@ impl Conn {
         }
     }
 
-    /// Push pending outbound bytes into the transport. Returns whether any
-    /// bytes moved.
-    fn flush_out(&mut self) -> bool {
-        let mut progress = false;
+    /// Push pending outbound bytes into the transport.
+    fn flush_out(&mut self) {
         while self.out_pos < self.out.len() {
             match self.transport.try_write(&self.out[self.out_pos..]) {
                 Ok(Progress::Ready(0)) | Ok(Progress::Pending) => break,
                 Ok(Progress::Ready(n)) => {
                     self.out_pos += n;
                     self.flushed_total += n as u64;
-                    progress = true;
                 }
-                Err(_) => {
-                    self.on_write_failure();
-                    return progress;
-                }
+                Err(_) => return self.on_write_failure(),
             }
         }
         if self.out_pos >= self.out.len() && !self.out.is_empty() {
@@ -580,47 +818,18 @@ impl Conn {
                 }
             }
         }
-        progress
     }
 
-    /// One readiness pass: flush, read, step the session, flush, finalize.
+    /// One pass over a ready connection: flush, read, step the session,
+    /// flush, finalize.
     fn pump(&mut self, shared: &Arc<Shared>) -> PumpResult {
         let mut res = PumpResult {
             frames: 0,
-            progress: false,
+            hot: false,
         };
-        res.progress |= self.flush_out();
-
-        // Read whatever the transport has, growing the chunk for
-        // connections that move bulk data.
+        self.flush_out();
         if !self.eof && !self.closing {
-            loop {
-                let chunk = self.read_chunk;
-                let space = self.decoder.space(chunk);
-                match self.transport.try_read(space) {
-                    Ok(Progress::Ready(0)) => {
-                        self.eof = true;
-                        res.progress = true;
-                        break;
-                    }
-                    Ok(Progress::Ready(n)) => {
-                        self.decoder.commit(n);
-                        res.progress = true;
-                        if n == chunk && chunk < READ_CHUNK_MAX {
-                            self.read_chunk = (chunk * 2).min(READ_CHUNK_MAX);
-                        } else {
-                            break;
-                        }
-                    }
-                    Ok(Progress::Pending) => break,
-                    // A read error is a client disconnect, not a server
-                    // fault — same as EOF once buffered frames are served.
-                    Err(_) => {
-                        self.eof = true;
-                        break;
-                    }
-                }
-            }
+            res.hot = self.read_available();
         }
 
         self.process(shared, &mut res);
@@ -628,20 +837,57 @@ impl Conn {
             return res;
         }
 
-        res.progress |= self.flush_out();
-        self.quiesce_for_migration(shared, &mut res);
+        self.flush_out();
+        self.quiesce_for_migration(shared);
         if self.closing && self.out_pos >= self.out.len() {
             self.finalize(shared);
-            res.progress = true;
         }
         res
+    }
+
+    /// Read what the transport has, growing the chunk for connections that
+    /// move bulk data. Fd-less transports signal their waker once per
+    /// arrival, so they are read until `Pending`; a registered socket is
+    /// level triggered, so a short read (which drained it) ends the loop.
+    /// Returns whether the byte budget stopped the loop with input left.
+    fn read_available(&mut self) -> bool {
+        let mut budget = READ_BUDGET;
+        loop {
+            let chunk = self.read_chunk;
+            match self.transport.try_read(self.decoder.space(chunk)) {
+                Ok(Progress::Ready(0)) => self.eof = true,
+                Ok(Progress::Ready(n)) => {
+                    self.decoder.commit(n);
+                    if n == chunk && chunk < READ_CHUNK_MAX {
+                        self.read_chunk = (chunk * 2).min(READ_CHUNK_MAX);
+                    }
+                    budget = budget.saturating_sub(n);
+                    if budget == 0 {
+                        return self.waker.is_some();
+                    }
+                    if n < chunk && self.waker.is_none() {
+                        return false;
+                    }
+                    continue;
+                }
+                Ok(Progress::Pending) => {}
+                // A read error is a client disconnect, not a server
+                // fault — same as EOF once buffered frames are served.
+                Err(_) => self.eof = true,
+            }
+            return false;
+        }
     }
 
     /// Step the session over every buffered message, up to the per-pass
     /// frame budget.
     fn process(&mut self, shared: &Arc<Shared>, res: &mut PumpResult) {
         let config = &shared.config;
-        while !self.closing && res.frames < FRAMES_PER_PASS {
+        while !self.closing {
+            if res.frames == FRAMES_PER_PASS {
+                res.hot = true;
+                return;
+            }
             let Some(core) = self.core.as_mut() else {
                 return;
             };
@@ -670,18 +916,17 @@ impl Conn {
                     if ctx.is_none() && Instant::now() < deadline {
                         return;
                     }
+                    self.resume_deadline = None;
                     core.resume(ctx, &mut self.out, config);
                     self.on_handshaken(shared);
                 }
                 Step::Mux(hello) => {
                     self.upgrade = Some(hello);
                     self.done = true;
-                    res.progress = true;
                     return;
                 }
                 Step::Closed => self.closing = true,
             }
-            res.progress = true;
         }
     }
 
@@ -703,7 +948,7 @@ impl Conn {
     /// order's channel; the connection then closes without parking (the
     /// session lives elsewhere now), and the client's reconnect finds it
     /// on the target daemon.
-    fn quiesce_for_migration(&mut self, shared: &Shared, res: &mut PumpResult) {
+    fn quiesce_for_migration(&mut self, shared: &Shared) {
         if !shared.migrations.is_armed() || self.closing || self.eof {
             return;
         }
@@ -725,7 +970,6 @@ impl Conn {
         shared.live_tokens.lock().remove(&token);
         self.live_token = None;
         self.force_close();
-        res.progress = true;
     }
 
     /// The client asked for the multiplexed framing layer: hand this

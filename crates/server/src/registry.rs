@@ -14,7 +14,7 @@
 
 use rcuda_gpu::GpuContext;
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Most sessions a registry will hold parked at once; beyond this the
@@ -175,7 +175,12 @@ impl SessionRegistry {
 /// bounded-occupancy contract admission control relies on.
 pub struct ShardedRegistry {
     shards: Vec<SessionRegistry>,
+    /// Run after every park: the reactor wakes its shards here, so a
+    /// `Reconnect` waiting for this session resumes without polling.
+    on_park: OnceLock<ParkHook>,
 }
+
+type ParkHook = Box<dyn Fn() + Send + Sync>;
 
 impl ShardedRegistry {
     /// `shards` hash-routed registries with the default per-shard capacity.
@@ -183,6 +188,7 @@ impl ShardedRegistry {
         let n = shards.max(1);
         ShardedRegistry {
             shards: (0..n).map(|_| SessionRegistry::new()).collect(),
+            on_park: OnceLock::new(),
         }
     }
 
@@ -198,6 +204,7 @@ impl ShardedRegistry {
             shards: (0..n)
                 .map(|i| SessionRegistry::with_capacity(base + usize::from(i < rem)))
                 .collect(),
+            on_park: OnceLock::new(),
         }
     }
 
@@ -216,7 +223,17 @@ impl ShardedRegistry {
     /// Park `session`'s context on its shard; see [`SessionRegistry::park`].
     #[must_use = "an evicted session's context must be reclaimed, not dropped silently"]
     pub fn park(&self, session: u64, ctx: GpuContext) -> Option<(u64, GpuContext)> {
-        self.route(session).park(session, ctx)
+        let evicted = self.route(session).park(session, ctx);
+        if let Some(hook) = self.on_park.get() {
+            hook();
+        }
+        evicted
+    }
+
+    /// Install the hook run after every park (once; later calls are
+    /// ignored).
+    pub(crate) fn on_park(&self, hook: ParkHook) {
+        let _ = self.on_park.set(hook);
     }
 
     /// Take a parked context out, if present.

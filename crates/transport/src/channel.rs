@@ -5,19 +5,52 @@
 //! Dropping one endpoint makes the peer's reads fail with
 //! `UnexpectedEof` and its writes with `BrokenPipe`, mirroring socket
 //! behavior so connection-loss handling can be tested in-process.
+//!
+//! Each endpoint's inbox has a waker slot ([`Transport::set_waker`]) that
+//! the peer signals after every delivered message and when it goes away.
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use rcuda_obs::{Dir, ObsHandle};
 use std::io::{self, Read, Write};
+use std::sync::Arc;
+use std::task::Waker;
 use std::time::Duration;
 
 use crate::stats::TransportStats;
 use crate::{Progress, Transport};
 
+/// The waker of one endpoint's inbox, shared with the peer that fills it.
+#[derive(Default)]
+struct WakeSlot(Mutex<Option<Waker>>);
+
+impl WakeSlot {
+    fn wake(&self) {
+        if let Some(waker) = self.0.lock().as_ref() {
+            waker.wake_by_ref();
+        }
+    }
+}
+
+/// The sending side's handle on the peer's inbox waker. Dropping it wakes
+/// the peer's reader, so it must be declared after the `Sender` it travels
+/// with: the channel has disconnected (EOF) by the time the wake lands.
+struct PeerWake(Arc<WakeSlot>);
+
+impl Drop for PeerWake {
+    fn drop(&mut self) {
+        self.0.wake();
+    }
+}
+
 /// One endpoint of an in-process duplex byte stream.
 pub struct ChannelTransport {
     tx: Sender<Vec<u8>>,
+    /// Signalled after each delivery and on drop (after `tx`).
+    peer: PeerWake,
     rx: Receiver<Vec<u8>>,
+    /// This endpoint's inbox waker, set by [`Transport::set_waker`].
+    inbox: Arc<WakeSlot>,
     /// Bytes written since the last flush.
     out_buf: Vec<u8>,
     /// Received message currently being consumed.
@@ -33,9 +66,12 @@ pub struct ChannelTransport {
 pub fn channel_pair() -> (ChannelTransport, ChannelTransport) {
     let (tx_a, rx_b) = unbounded();
     let (tx_b, rx_a) = unbounded();
-    let mk = |tx, rx| ChannelTransport {
+    let (slot_a, slot_b) = (Arc::new(WakeSlot::default()), Arc::new(WakeSlot::default()));
+    let mk = |tx, rx, inbox: &Arc<WakeSlot>, peer: &Arc<WakeSlot>| ChannelTransport {
         tx,
+        peer: PeerWake(Arc::clone(peer)),
         rx,
+        inbox: Arc::clone(inbox),
         out_buf: Vec::new(),
         in_buf: Vec::new(),
         in_pos: 0,
@@ -43,7 +79,10 @@ pub fn channel_pair() -> (ChannelTransport, ChannelTransport) {
         stats: TransportStats::default(),
         obs: ObsHandle::none(),
     };
-    (mk(tx_a, rx_a), mk(tx_b, rx_b))
+    (
+        mk(tx_a, rx_a, &slot_a, &slot_b),
+        mk(tx_b, rx_b, &slot_b, &slot_a),
+    )
 }
 
 impl ChannelTransport {
@@ -57,7 +96,9 @@ impl ChannelTransport {
         self.obs.emit_message(Dir::Sent, msg.len() as u64);
         self.tx
             .send(msg)
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"))
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"))?;
+        self.peer.0.wake();
+        Ok(())
     }
 
     /// Bytes of the current pending (unflushed) message.
@@ -161,6 +202,7 @@ impl io::Read for ChannelReadHalf {
 /// delivers one channel message per flush, like the unsplit transport.
 pub struct ChannelWriteHalf {
     tx: Sender<Vec<u8>>,
+    peer: PeerWake,
     out_buf: Vec<u8>,
 }
 
@@ -177,7 +219,9 @@ impl io::Write for ChannelWriteHalf {
         let msg = std::mem::take(&mut self.out_buf);
         self.tx
             .send(msg)
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer dropped"))
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer dropped"))?;
+        self.peer.0.wake();
+        Ok(())
     }
 }
 
@@ -203,24 +247,9 @@ impl Transport for ChannelTransport {
         Ok(())
     }
 
-    fn poll_readable(&mut self) -> io::Result<bool> {
-        // Undrained staged message, a queued message, or a hung-up peer
-        // (EOF) all let a read make progress. A queued message is staged
-        // here so the subsequent `try_read` serves it without re-polling.
-        if self.in_pos < self.in_buf.len() {
-            return Ok(true);
-        }
-        match self.rx.try_recv() {
-            Ok(msg) => {
-                self.obs.emit_message(Dir::Received, msg.len() as u64);
-                self.in_buf = msg;
-                self.in_pos = 0;
-                self.stats.record_message_received();
-                Ok(true)
-            }
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(false),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Ok(true),
-        }
+    fn set_waker(&mut self, waker: Waker) -> io::Result<()> {
+        *self.inbox.0.lock() = Some(waker);
+        Ok(())
     }
 
     fn try_read(&mut self, buf: &mut [u8]) -> io::Result<Progress> {
@@ -264,6 +293,7 @@ impl Transport for ChannelTransport {
             }),
             Box::new(ChannelWriteHalf {
                 tx: this.tx,
+                peer: this.peer,
                 out_buf: this.out_buf,
             }),
         ))
@@ -428,16 +458,66 @@ mod tests {
     fn try_read_reports_pending_then_data_then_eof() {
         let (mut a, mut b) = channel_pair();
         let mut buf = [0u8; 8];
-        assert!(!a.poll_readable().unwrap());
         assert_eq!(a.try_read(&mut buf).unwrap(), Progress::Pending);
         b.write_all(b"abc").unwrap();
         b.flush().unwrap();
-        assert!(a.poll_readable().unwrap());
         assert_eq!(a.try_read(&mut buf).unwrap(), Progress::Ready(3));
         assert_eq!(&buf[..3], b"abc");
         drop(b);
-        assert!(a.poll_readable().unwrap(), "EOF is readable progress");
         assert_eq!(a.try_read(&mut buf).unwrap(), Progress::Ready(0));
+    }
+
+    /// Counts wakes, for the waker tests.
+    struct CountWake(std::sync::atomic::AtomicUsize);
+
+    impl std::task::Wake for CountWake {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    fn count_waker() -> (Arc<CountWake>, Waker) {
+        let count = Arc::new(CountWake(Default::default()));
+        (Arc::clone(&count), Waker::from(count))
+    }
+
+    #[test]
+    fn waker_fires_on_each_delivery_and_on_peer_drop() {
+        let (mut a, mut b) = channel_pair();
+        let (count, waker) = count_waker();
+        a.set_waker(waker).unwrap();
+        let woken = || count.0.load(std::sync::atomic::Ordering::SeqCst);
+        b.write_all(b"x").unwrap();
+        assert_eq!(woken(), 0, "nothing delivered before the flush");
+        b.flush().unwrap();
+        assert_eq!(woken(), 1);
+        // Sends in the other direction do not wake this endpoint.
+        a.write_all(b"y").unwrap();
+        a.flush().unwrap();
+        assert_eq!(woken(), 1);
+        drop(b);
+        assert_eq!(woken(), 2, "the peer going away is a readiness change");
+        let mut buf = [0u8; 2];
+        assert_eq!(a.try_read(&mut buf).unwrap(), Progress::Ready(1));
+        assert_eq!(a.try_read(&mut buf).unwrap(), Progress::Ready(0));
+    }
+
+    #[test]
+    fn split_write_half_wakes_the_peer() {
+        let (mut a, b) = channel_pair();
+        let (count, waker) = count_waker();
+        a.set_waker(waker).unwrap();
+        let (rd, mut wr) = (Box::new(b) as Box<dyn Transport>).into_split().unwrap();
+        wr.write_all(b"z").unwrap();
+        wr.flush().unwrap();
+        assert_eq!(count.0.load(std::sync::atomic::Ordering::SeqCst), 1);
+        drop(rd);
+        drop(wr);
+        assert_eq!(count.0.load(std::sync::atomic::Ordering::SeqCst), 2);
     }
 
     #[test]

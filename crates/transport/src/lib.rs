@@ -31,6 +31,7 @@ pub mod stats;
 pub mod tcp;
 
 use std::io;
+use std::task::Waker;
 use std::time::Duration;
 
 pub use rcuda_obs::ObsHandle;
@@ -40,7 +41,7 @@ pub use fault::{
     Fault, FaultInjector, FaultKind, FaultPlan, FiredFaults, StreamFault, StreamFaultPlan,
     StreamFaultWrite,
 };
-pub use mux::{MuxConfig, MuxPeer, MuxRole, MuxStream};
+pub use mux::{MuxCloser, MuxConfig, MuxPeer, MuxRole, MuxStream};
 pub use reconnect::{DialFn, ReconnectTransport};
 pub use sim::{sim_pair, SimTransport};
 pub use stats::TransportStats;
@@ -73,9 +74,10 @@ pub enum Progress {
 /// *never park the caller*: [`Transport::set_nonblocking`] switches the
 /// endpoint over, after which [`Transport::try_read`] and
 /// [`Transport::try_write`] translate `WouldBlock` into
-/// [`Progress::Pending`] instead of blocking, and
-/// [`Transport::poll_readable`] answers "would a read make progress right
-/// now?" without consuming anything. Transports that cannot operate
+/// [`Progress::Pending`] instead of blocking. Such a server waits for a
+/// socket's readiness on its descriptor; a transport without one instead
+/// signals the [`Waker`] installed with [`Transport::set_waker`] whenever a
+/// pending attempt may now make progress. Transports that cannot operate
 /// nonblocking keep the defaults and report
 /// [`io::ErrorKind::Unsupported`] — the blocking half of the trait is
 /// unchanged and remains the contract for client-side use.
@@ -122,13 +124,17 @@ pub trait Transport: io::Read + io::Write + Send {
         ))
     }
 
-    /// Whether a `try_read` right now would make progress (data buffered or
-    /// EOF observable), without consuming anything. `Ok(false)` means a read
-    /// would return [`Progress::Pending`].
-    fn poll_readable(&mut self) -> io::Result<bool> {
+    /// Install the waker a transport without a file descriptor signals
+    /// when a nonblocking attempt that reported [`Progress::Pending`] may now
+    /// make progress: inbound bytes arrived, send credit came back, or the
+    /// peer went away. Only changes after the call are signalled, so the
+    /// caller attempts its I/O once after installing. Transports waited on
+    /// through their socket return [`io::ErrorKind::Unsupported`] (the
+    /// default).
+    fn set_waker(&mut self, _waker: Waker) -> io::Result<()> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "transport has no nonblocking mode",
+            "transport is waited on through its descriptor",
         ))
     }
 
@@ -191,8 +197,8 @@ impl Transport for Box<dyn Transport> {
         (**self).set_nonblocking(nonblocking)
     }
 
-    fn poll_readable(&mut self) -> io::Result<bool> {
-        (**self).poll_readable()
+    fn set_waker(&mut self, waker: Waker) -> io::Result<()> {
+        (**self).set_waker(waker)
     }
 
     fn try_read(&mut self, buf: &mut [u8]) -> io::Result<Progress> {

@@ -39,7 +39,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::task::Waker;
 use std::time::Duration;
 
 use rcuda_obs::{Dir, ObsHandle};
@@ -161,15 +162,25 @@ struct StreamShared {
     readable: Condvar,
     /// Signaled when credit arrives or the trunk dies.
     writable: Condvar,
+    /// The nonblocking path's waker ([`Transport::set_waker`]), signaled
+    /// alongside either condvar.
+    waker: Mutex<Option<Waker>>,
     /// Receive-direction cipher lane (applied by the demux thread).
     rx_cipher: Mutex<Option<Box<dyn CipherSuite>>>,
 }
 
 impl StreamShared {
+    fn notify(&self, cv: &Condvar) {
+        cv.notify_all();
+        if let Some(waker) = self.waker.lock().unwrap().as_ref() {
+            waker.wake_by_ref();
+        }
+    }
+
     fn poison(&self) {
         self.state.lock().unwrap().poisoned = true;
-        self.readable.notify_all();
         self.writable.notify_all();
+        self.notify(&self.readable);
     }
 }
 
@@ -179,6 +190,9 @@ struct TrunkCore {
     streams: Mutex<HashMap<u32, Arc<StreamShared>>>,
     pool: BufferPool,
     dead: AtomicBool,
+    /// Paired with `died` for [`MuxPeer::wait_dead`].
+    dead_lock: Mutex<()>,
+    died: Condvar,
     obs: ObsHandle,
     role: MuxRole,
     cipher: CipherSuiteKind,
@@ -208,6 +222,8 @@ impl TrunkCore {
     /// Kill the trunk: every stream's pending and future I/O fails.
     fn poison(&self) {
         self.dead.store(true, Ordering::Release);
+        drop(self.dead_lock.lock().unwrap());
+        self.died.notify_all();
         let streams = self.streams.lock().unwrap();
         for shared in streams.values() {
             shared.poison();
@@ -227,6 +243,7 @@ impl TrunkCore {
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
+            waker: Mutex::new(None),
             rx_cipher: Mutex::new(None),
         });
         let (tx_dir, rx_dir) = match self.role {
@@ -304,6 +321,8 @@ impl MuxPeer {
             streams: Mutex::new(HashMap::new()),
             pool: config.pool,
             dead: AtomicBool::new(false),
+            dead_lock: Mutex::new(()),
+            died: Condvar::new(),
             obs: config.obs,
             role,
             cipher: config.cipher,
@@ -348,9 +367,46 @@ impl MuxPeer {
         self.core.dead.load(Ordering::Acquire)
     }
 
+    /// Block until the trunk dies (I/O error, peer GOAWAY, EOF, or a
+    /// [`MuxCloser::close`]).
+    pub fn wait_dead(&self) {
+        let mut guard = self.core.dead_lock.lock().unwrap();
+        while !self.is_dead() {
+            guard = self.core.died.wait(guard).unwrap();
+        }
+    }
+
+    /// A handle that kills this trunk from another thread, e.g. to stop a
+    /// host parked in [`MuxPeer::wait_dead`] at daemon shutdown.
+    pub fn closer(&self) -> MuxCloser {
+        MuxCloser(Arc::downgrade(&self.core))
+    }
+
     /// Open streams right now (registered and not yet closed locally).
     pub fn stream_count(&self) -> usize {
         self.core.streams.lock().unwrap().len()
+    }
+}
+
+/// Kills a trunk from outside its [`MuxPeer`] (see [`MuxPeer::closer`]):
+/// the trunk turns dead exactly as on a read error.
+#[derive(Clone)]
+pub struct MuxCloser(Weak<TrunkCore>);
+
+impl MuxCloser {
+    /// Kill the trunk: its streams' I/O fails and [`MuxPeer::wait_dead`]
+    /// returns. A no-op once the trunk is gone.
+    pub fn close(&self) {
+        if let Some(core) = self.0.upgrade() {
+            core.poison();
+        }
+    }
+
+    /// Whether the trunk is still alive (not dead, not dropped).
+    pub fn is_open(&self) -> bool {
+        self.0
+            .upgrade()
+            .is_some_and(|core| !core.dead.load(Ordering::Acquire))
     }
 }
 
@@ -424,7 +480,7 @@ fn demux_loop(
                     }
                 }
                 drop(state);
-                shared.readable.notify_all();
+                shared.notify(&shared.readable);
             }
             FrameKind::Open => {
                 if let Some(callback) = &mut on_stream {
@@ -441,7 +497,7 @@ fn demux_loop(
                 let target = core.streams.lock().unwrap().get(&header.stream_id).cloned();
                 if let Some(shared) = target {
                     shared.state.lock().unwrap().closed = true;
-                    shared.readable.notify_all();
+                    shared.notify(&shared.readable);
                 }
             }
             FrameKind::Credit => {
@@ -450,7 +506,7 @@ fn demux_loop(
                     let mut state = shared.state.lock().unwrap();
                     state.credit += u64::from(header.len);
                     drop(state);
-                    shared.writable.notify_all();
+                    shared.notify(&shared.writable);
                 }
             }
         }
@@ -684,12 +740,9 @@ impl Transport for MuxStream {
         Ok(())
     }
 
-    fn poll_readable(&mut self) -> io::Result<bool> {
-        if self.current.is_some() {
-            return Ok(true);
-        }
-        let state = self.shared.state.lock().unwrap();
-        Ok(!state.inbox.is_empty() || state.closed || state.poisoned)
+    fn set_waker(&mut self, waker: Waker) -> io::Result<()> {
+        *self.shared.waker.lock().unwrap() = Some(waker);
+        Ok(())
     }
 
     fn try_read(&mut self, buf: &mut [u8]) -> io::Result<Progress> {
@@ -1015,6 +1068,20 @@ mod tests {
         );
     }
 
+    /// A waker that reports each wake on a channel.
+    struct ChannelWake(Mutex<mpsc::Sender<()>>);
+
+    impl std::task::Wake for ChannelWake {
+        fn wake(self: Arc<Self>) {
+            let _ = self.0.lock().unwrap().send(());
+        }
+    }
+
+    fn channel_waker() -> (Waker, mpsc::Receiver<()>) {
+        let (tx, rx) = mpsc::channel();
+        (Waker::from(Arc::new(ChannelWake(Mutex::new(tx)))), rx)
+    }
+
     #[test]
     fn try_read_pending_then_ready_then_eof() {
         let (client, _server, accepted) = peer_pair(MuxConfig::default(), MuxConfig::default());
@@ -1022,31 +1089,60 @@ mod tests {
         send(&mut s, b"x"); // force the peer stream into existence
         let mut peer = accepted.recv().unwrap();
         let _ = recv(&mut peer, 1);
+        let (waker, woken) = channel_waker();
+        peer.set_waker(waker).unwrap();
         let mut buf = [0u8; 8];
-        assert!(!peer.poll_readable().unwrap());
         assert_eq!(peer.try_read(&mut buf).unwrap(), Progress::Pending);
+        // Delivery is asynchronous (demux thread): the waker says when.
         send(&mut s, b"abc");
-        // Delivery is asynchronous (demux thread): poll.
-        let mut got = 0;
-        for _ in 0..200 {
-            match peer.try_read(&mut buf).unwrap() {
-                Progress::Ready(n) => {
-                    got = n;
-                    break;
-                }
-                Progress::Pending => std::thread::sleep(Duration::from_millis(1)),
-            }
-        }
-        assert_eq!(got, 3);
+        woken
+            .recv_timeout(Duration::from_secs(5))
+            .expect("data wakes");
+        assert_eq!(peer.try_read(&mut buf).unwrap(), Progress::Ready(3));
         assert_eq!(&buf[..3], b"abc");
+        assert_eq!(peer.try_read(&mut buf).unwrap(), Progress::Pending);
         drop(s);
-        for _ in 0..200 {
-            if peer.poll_readable().unwrap() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        woken
+            .recv_timeout(Duration::from_secs(5))
+            .expect("CLOSE wakes");
         assert_eq!(peer.try_read(&mut buf).unwrap(), Progress::Ready(0));
+    }
+
+    #[test]
+    fn waker_fires_when_credit_returns_and_when_the_trunk_dies() {
+        let (client, server, accepted) = peer_pair(MuxConfig::default(), MuxConfig::default());
+        let mut s = client.open_stream().unwrap();
+        let chunk = vec![0u8; CHUNK];
+        while let Progress::Ready(_) = s.try_write(&chunk).unwrap() {}
+        let (waker, woken) = channel_waker();
+        s.set_waker(waker).unwrap();
+        let mut peer = accepted.recv().unwrap();
+        let _ = recv(&mut peer, INITIAL_WINDOW as usize);
+        woken
+            .recv_timeout(Duration::from_secs(5))
+            .expect("CREDIT wakes");
+        assert!(matches!(s.try_write(&chunk).unwrap(), Progress::Ready(n) if n > 0));
+        drop(server);
+        woken
+            .recv_timeout(Duration::from_secs(5))
+            .expect("trunk death wakes");
+        client.wait_dead();
+        assert!(client.is_dead());
+    }
+
+    #[test]
+    fn closer_kills_the_trunk_and_releases_wait_dead() {
+        let (client, _server, _accepted) = peer_pair(MuxConfig::default(), MuxConfig::default());
+        let closer = client.closer();
+        assert!(closer.is_open());
+        let waiter = std::thread::spawn(move || {
+            client.wait_dead();
+            client
+        });
+        closer.close();
+        let client = waiter.join().unwrap();
+        assert!(client.is_dead());
+        assert!(!closer.is_open());
     }
 
     #[test]

@@ -210,26 +210,6 @@ impl Transport for TcpTransport {
         self.reader.get_ref().set_nonblocking(nonblocking)
     }
 
-    fn poll_readable(&mut self) -> io::Result<bool> {
-        if !self.reader.buffer().is_empty() {
-            return Ok(true);
-        }
-        let mut probe = [0u8; 1];
-        // peek(Ok(0)) is EOF: that *is* readable progress (read returns 0).
-        match self.reader.get_ref().peek(&mut probe) {
-            Ok(_) => Ok(true),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-                ) =>
-            {
-                Ok(false)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     fn try_read(&mut self, buf: &mut [u8]) -> io::Result<Progress> {
         // Route through `Read::read` so stats and message accounting stay
         // identical between the blocking and nonblocking paths.
@@ -517,7 +497,6 @@ mod tests {
         let mut client = TcpTransport::connect(addr).unwrap();
         client.set_nonblocking(true).unwrap();
         let mut buf = [0u8; 16];
-        assert!(!client.poll_readable().unwrap());
         assert_eq!(client.try_read(&mut buf).unwrap(), Progress::Pending);
         sync_tx.send(()).unwrap();
         // Spin until the 4 bytes arrive — never blocking, only re-polling.

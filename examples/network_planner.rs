@@ -22,12 +22,12 @@
 //! ```
 
 use rcuda::api::{run_fft_bytes, run_matmul_bytes, run_nbody_bytes};
-use rcuda::client::Trace;
 use rcuda::core::{CaseStudy, Clock as _, SimTime};
 use rcuda::model::estimate::{estimate_bytes, fixed_time_bytes};
 use rcuda::model::render::{secs, TextTable};
 use rcuda::model::SimulatedTestbed;
 use rcuda::netsim::NetworkId;
+use rcuda::obs::Recorder;
 use rcuda::session;
 use rcuda::session::Endpoint;
 
@@ -44,8 +44,10 @@ fn main() {
 
     // ---- 1. One traced run on the network we "own" (simulated GigaE at
     //         scale; phantom memory keeps host cost negligible).
+    let recorder = Recorder::new();
     let mut sess = session::Session::builder()
         .phantom(true)
+        .observer(recorder.handle())
         .connect(Endpoint::Simulated(NetworkId::GigaE))
         .unwrap();
     let clock = sess.clock().clone();
@@ -68,15 +70,19 @@ fn main() {
         }
     }
     let measured = sess.clock().now();
-    let trace: Trace = sess.trace().clone();
     sess.finish();
+    let trace = recorder.report();
+    let calls = trace
+        .spans
+        .iter()
+        .filter(|s| s.op.as_phase().is_none())
+        .count();
 
     println!("traced one {kind} run (size = {size}) over GigaE:");
     println!("  measured total          : {} s", secs(measured));
     println!(
-        "  bulk payload on the wire : {:.1} MiB across {} calls",
+        "  bulk payload on the wire : {:.1} MiB across {calls} calls",
         trace.bulk_payload() as f64 / (1 << 20) as f64,
-        trace.events.len()
     );
 
     // ---- 2. Split into transfer + fixed, from the trace alone.

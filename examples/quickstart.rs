@@ -10,6 +10,7 @@ use rcuda::api::CudaRuntime;
 use rcuda::core::{ArgPack, Dim3};
 use rcuda::gpu::module::build_module;
 use rcuda::gpu::GpuDevice;
+use rcuda::obs::Recorder;
 use rcuda::proto::wire::f32s_to_bytes;
 use rcuda::server::RcudaDaemon;
 use rcuda::session;
@@ -23,8 +24,11 @@ fn main() {
         .unwrap();
     println!("rCUDA daemon listening on {}", daemon.local_addr());
 
-    // 2. A GPU-less node connects and initializes with its GPU module.
+    // 2. A GPU-less node connects and initializes with its GPU module. The
+    //    recorder keeps one span per call.
+    let recorder = Recorder::new();
     let mut rt = session::Session::builder()
+        .observer(recorder.handle())
         .connect(Endpoint::Tcp(daemon.local_addr()))
         .unwrap();
     rt.initialize(&build_module(&["vec_add"], 0)).unwrap();
@@ -67,10 +71,10 @@ fn main() {
 
     // 4. The trace shows exactly what crossed the wire (paper Table I).
     println!("\nsession trace:");
-    for ev in &rt.trace().events {
+    for span in &recorder.report().spans {
         println!(
             "  {:<22} sent {:>6} B  received {:>6} B",
-            ev.op, ev.sent, ev.received
+            span.op, span.bytes_sent, span.bytes_received
         );
     }
 

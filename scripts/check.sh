@@ -25,6 +25,9 @@ observed=$(cargo run -q --release --example observed_matmul "$trace_out")
 grep -q "trace schema OK" <<<"$observed"
 test -s "$trace_out" || { echo "observed_matmul wrote no trace" >&2; exit 1; }
 
+echo "== rcbench selftest (its own package: the workspace build skips it) ==" >&2
+cargo run --release --offline --quiet --manifest-path rcbench/Cargo.toml -- --selftest
+
 echo "== memcpy data-plane bench smoke ==" >&2
 BENCH_MEMCPY_OUT="$PWD/target/BENCH_memcpy.json" \
     cargo bench -q -p rcuda-bench --bench memcpy_path -- --test >/dev/null

@@ -21,6 +21,7 @@ use rcuda::kernels::complex::complex_to_bytes;
 use rcuda::kernels::fft::fft_batch_512;
 use rcuda::kernels::matrix::CpuSgemm;
 use rcuda::kernels::workload::{fft_input, matrix_pair};
+use rcuda::obs::Recorder;
 use rcuda::proto::wire::f32s_to_bytes;
 use rcuda::session::{self, Endpoint};
 
@@ -84,7 +85,9 @@ fn main() {
     } else {
         Endpoint::Tcp(sock)
     };
-    let mut builder = session::Session::builder();
+    // The wire trace printed at the end: one span per call.
+    let recorder = Recorder::new();
+    let mut builder = session::Session::builder().observer(recorder.handle());
     if retries > 0 {
         builder = builder.retries(retries);
     }
@@ -162,16 +165,17 @@ fn main() {
         _ => unreachable!(),
     }
 
+    let report = recorder.report();
     println!("\nwire trace:");
-    for ev in &rt.trace().events {
+    for span in &report.spans {
         println!(
             "  {:<22} sent {:>10} B  received {:>10} B  {:>10.3} ms",
-            ev.op,
-            ev.sent,
-            ev.received,
-            ev.duration().as_millis_f64()
+            span.op,
+            span.bytes_sent,
+            span.bytes_received,
+            span.duration().as_millis_f64()
         );
     }
-    let (sent, received) = rt.trace().totals();
+    let (sent, received) = report.totals();
     println!("total: {sent} B sent, {received} B received");
 }

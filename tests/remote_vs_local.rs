@@ -9,6 +9,7 @@ use rcuda::gpu::GpuDevice;
 use rcuda::kernels::complex::complex_to_bytes;
 use rcuda::kernels::workload::{fft_input, matrix_pair};
 use rcuda::netsim::NetworkId;
+use rcuda::obs::Recorder;
 use rcuda::server::RcudaDaemon;
 use rcuda::session;
 use rcuda::session::Endpoint;
@@ -111,18 +112,20 @@ fn trace_byte_accounting_matches_table1() {
     let (a, b) = matrix_pair(m as usize, 2);
     let (a, b) = (f32s(a.as_slice()), f32s(b.as_slice()));
     let clock = wall_clock();
+    let recorder = Recorder::new();
     let mut sess = session::Session::builder()
+        .observer(recorder.handle())
         .connect(Endpoint::Simulated(NetworkId::Ib40G))
         .unwrap();
     run_matmul_bytes(&mut *sess, &*clock, m, &a, &b).unwrap();
 
-    let trace = sess.trace().clone();
+    let trace = recorder.report();
     let by_op = |op: &str| -> Vec<(u64, u64)> {
         trace
-            .events
+            .spans
             .iter()
             .filter(|e| e.op == op)
-            .map(|e| (e.sent, e.received))
+            .map(|e| (e.bytes_sent, e.bytes_received))
             .collect()
     };
 

@@ -7,8 +7,10 @@
 //! client's borrowed vectored-write sends and `memcpy_d2h_into` receives,
 //! and the server's pooled request decode, in-place `fill` kernel, and
 //! pooled D2H reply staging. The warmup iterations grow every amortized
-//! buffer (trace vectors, pool classes, BufWriter/BufReader) to capacity;
-//! after that, any allocation inside the measured window is a regression.
+//! buffer (pool classes, BufWriter/BufReader) to capacity; after that, any
+//! allocation inside the measured window is a regression. The window is
+//! long enough (256 round trips) that a per-call buffer which only grows,
+//! doubling now and then, would show up inside it.
 //!
 //! Two payload sizes pin down both transport branches: 4 KiB rides the
 //! buffered (coalesced) vectored write, 128 KiB crosses
@@ -65,10 +67,10 @@ fn serialize() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Iterations that grow trace buffers and warm every pool class.
+/// Iterations that warm every pool class.
 const WARMUP: usize = 32;
 /// Iterations inside the counted window.
-const MEASURED: usize = 8;
+const MEASURED: usize = 256;
 
 /// One round trip: upload `data`, overwrite the region with `fill`, read it
 /// back into `out`. Everything here must be allocation-free at steady state.
